@@ -72,8 +72,7 @@ def _load(path):
 def cmd_check(args) -> int:
     inst, metadata, digest = _load(args.path)
     t0 = time.perf_counter()
-    final, results = run_criteria(inst, criteria=args.criteria, mode=args.mode,
-                                  jobs=args.jobs)
+    final, results = run_criteria(inst, criteria=args.criteria, mode=args.mode)
     elapsed = time.perf_counter() - t0
     report = build_report(
         final, results,
@@ -93,9 +92,9 @@ def cmd_gen(args) -> int:
     prime = args.prime if args.prime is not None else _default_prime()
     try:
         if args.kind == "identifiable":
-            gen = gen_identifiable(args.seed, prime, jobs=args.jobs)
+            gen = gen_identifiable(args.seed, prime)
         else:
-            gen = gen_unidentifiable(args.seed, prime, jobs=args.jobs,
+            gen = gen_unidentifiable(args.seed, prime,
                                      rational_residual=args.rational_residual)
     except (NotPrime, ScanBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -136,7 +135,7 @@ def cmd_hilbert(args) -> int:
 
 def cmd_kruskal(args) -> int:
     inst, _, _ = _load(args.path)
-    k, examined = kruskal_rank_detail(inst.pointset, args.d, jobs=args.jobs)
+    k, examined = kruskal_rank_detail(inst.pointset, args.d)
     print(f"k_{args.d} = {k} ({examined} subsets examined)")
     return EXIT_VERDICT
 
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criteria", default="all",
                    choices=("all", "range", "ranger", "kruskal", "octic14"))
     p.add_argument("--out", help="also write the report to this file")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate a ground-truth instance")
@@ -193,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="small fields: make the second decomposition's "
                         "points rational")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("hilbert", help="print the Hilbert function table")
@@ -204,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kruskal", help="print one Kruskal rank")
     p.add_argument("path")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_kruskal)
 
     p = sub.add_parser("syzygy", help="dump the octic pipeline's matrices")

@@ -129,13 +129,15 @@ def admissible_splits(d: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def reshaped_kruskal_certify(inst: Instance, split: tuple[int, int, int] | None = None,
-                             jobs: int = 1) -> Certificate:
+def reshaped_kruskal_certify(inst: Instance,
+                             split: tuple[int, int, int] | None = None) -> Certificate:
     """Kruskal-type certificate from three reshaping degrees.
 
     With 2*ell(A) <= k_{d1} + k_{d2} + k_{d3} - 2 the form has rank
     ell(A) and the decomposition is unique.  With split=None all splits
-    are tried (most balanced first) and the first success wins.
+    are tried (most balanced first) and the first success wins.  A split
+    whose bound is below ell(A) even with every k_{di} at its cap
+    min(C(n+di, n), ell(A)) is skipped, and that cap bound recorded.
     """
     d = inst.degree
     if d < 3:
@@ -146,16 +148,24 @@ def reshaped_kruskal_certify(inst: Instance, split: tuple[int, int, int] | None 
             raise BadSplit(f"bad split {s} for degree {d}")
     rk = check_nonredundant(inst)
     ell = inst.length
+    n = inst.pointset.n
     evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
     best = None
     for s in splits:
-        ks = [kruskal_rank(inst.pointset, di, jobs=jobs) for di in s]
-        bound = Fraction(sum(ks) - 2, 2)
-        evidence.append((f"kruskal_bound_{s[0]}_{s[1]}_{s[2]}",
-                         f"({'+'.join(map(str, ks))}-2)/2 = {bound}"))
-        if ell <= bound:
-            evidence.append(("certifying_split", f"{s[0]}+{s[1]}+{s[2]}"))
-            return Certificate(IDENTIFIABLE, rank=ell, evidence=tuple(evidence))
+        name = "_".join(map(str, s))
+        caps = [min(comb(n + di, n), ell) for di in s]
+        bound = Fraction(sum(caps) - 2, 2)
+        if bound < ell:
+            evidence.append((f"kruskal_cap_bound_{name}",
+                             f"({'+'.join(map(str, caps))}-2)/2 = {bound}"))
+        else:
+            ks = [kruskal_rank(inst.pointset, di) for di in s]
+            bound = Fraction(sum(ks) - 2, 2)
+            evidence.append((f"kruskal_bound_{name}",
+                             f"({'+'.join(map(str, ks))}-2)/2 = {bound}"))
+            if ell <= bound:
+                evidence.append(("certifying_split", f"{s[0]}+{s[1]}+{s[2]}"))
+                return Certificate(IDENTIFIABLE, rank=ell, evidence=tuple(evidence))
         best = max(best, bound) if best is not None else bound
     return Certificate(
         INCONCLUSIVE,
@@ -164,7 +174,19 @@ def reshaped_kruskal_certify(inst: Instance, split: tuple[int, int, int] | None 
     )
 
 
-def range_certify(inst: Instance, jobs: int = 1) -> Certificate:
+def _over_rank_cap(evidence: list, r: int, r_cap: int, d: int,
+                   kruskal_degree: int) -> Certificate:
+    """Inconclusive from r > rank_cap alone, before any Kruskal rank."""
+    evidence += [("rank_cap", r_cap),
+                 ("skipped", f"kruskal_{kruskal_degree}: r = {r} > rank_cap = {r_cap}")]
+    return Certificate(
+        INCONCLUSIVE,
+        reason=f"r = {r} exceeds the rank cap {r_cap} at degree {d}",
+        evidence=tuple(evidence),
+    )
+
+
+def range_certify(inst: Instance) -> Certificate:
     """Identifiability certificate for plane decompositions from one
     Kruskal rank and one Hilbert value.
 
@@ -181,21 +203,16 @@ def range_certify(inst: Instance, jobs: int = 1) -> Certificate:
     evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
     if d % 2 == 0:
         r_cap = comb(m + 2, 2) - 2
-        k_need = min(comb(m + 1, 2), r)
-        k = kruskal_rank(inst.pointset, m - 1, jobs=jobs)
-        h = evaluation_matrix(inst.pointset, m).rank()
-        evidence += [(f"kruskal_{m - 1}", k), (f"hilbert_{m}", h),
-                     ("rank_cap", r_cap)]
-        ok = k == k_need and h == r and r <= r_cap
+        e, k_need = m - 1, min(comb(m + 1, 2), r)
     else:
         r_cap = comb(m + 2, 2) + m // 2
-        k_need = min(comb(m + 2, 2), r)
-        k = kruskal_rank(inst.pointset, m, jobs=jobs)
-        h = evaluation_matrix(inst.pointset, m + 1).rank()
-        evidence += [(f"kruskal_{m}", k), (f"hilbert_{m + 1}", h),
-                     ("rank_cap", r_cap)]
-        ok = k == k_need and h == r and r <= r_cap
-    if ok:
+        e, k_need = m, min(comb(m + 2, 2), r)
+    if r > r_cap:
+        return _over_rank_cap(evidence, r, r_cap, d, e)
+    k = kruskal_rank(inst.pointset, e)
+    h = evaluation_matrix(inst.pointset, e + 1).rank()
+    evidence += [(f"kruskal_{e}", k), (f"hilbert_{e + 1}", h), ("rank_cap", r_cap)]
+    if k == k_need and h == r:
         return Certificate(IDENTIFIABLE, rank=r, evidence=tuple(evidence))
     return Certificate(
         INCONCLUSIVE,
@@ -204,7 +221,7 @@ def range_certify(inst: Instance, jobs: int = 1) -> Certificate:
     )
 
 
-def ranger_certify(inst: Instance, jobs: int = 1) -> Certificate:
+def ranger_certify(inst: Instance) -> Certificate:
     """Minimality certificate: A computes the rank of T.
 
     Even degree 2m: h_A(m) = r <= C(m+2,2).  Odd degree 2m+1: k_m(A)
@@ -224,12 +241,14 @@ def ranger_certify(inst: Instance, jobs: int = 1) -> Certificate:
         ok = h == r and r <= r_cap
     else:
         r_cap = comb(m + 2, 2) + (m + 1) // 2
+        if r > r_cap:
+            return _over_rank_cap(evidence, r, r_cap, d, m)
         k_need = min(comb(m + 2, 2), r)
-        k = kruskal_rank(inst.pointset, m, jobs=jobs)
+        k = kruskal_rank(inst.pointset, m)
         h = evaluation_matrix(inst.pointset, m + 1).rank()
         evidence += [(f"kruskal_{m}", k), (f"hilbert_{m + 1}", h),
                      ("rank_cap", r_cap)]
-        ok = k == k_need and h == r and r <= r_cap
+        ok = k == k_need and h == r
     if ok:
         return Certificate(COMPUTES_RANK, rank=r, evidence=tuple(evidence))
     return Certificate(
@@ -239,7 +258,7 @@ def ranger_certify(inst: Instance, jobs: int = 1) -> Certificate:
     )
 
 
-def mo_certify(inst: Instance, jobs: int = 1) -> Certificate:
+def mo_certify(inst: Instance) -> Certificate:
     """Identifiability in any number of variables from a near-maximal
     Hilbert value one degree below the middle.
 
@@ -272,7 +291,7 @@ def mo_certify(inst: Instance, jobs: int = 1) -> Certificate:
         evidence.append(("bound_boundary_case", True))
     ok = Fraction(deficit) <= bound
     if ok and d % 2 == 1:
-        k = kruskal_rank(inst.pointset, m, jobs=jobs)
+        k = kruskal_rank(inst.pointset, m)
         evidence.append((f"kruskal_{m}", k))
         ok = k == r
     if ok:

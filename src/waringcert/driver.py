@@ -41,8 +41,8 @@ def _octic14_applicable(inst: Instance) -> bool:
     return inst.pointset.n == 2 and inst.degree == 8 and inst.length == 14
 
 
-def run_criteria(inst: Instance, criteria: str = "all", mode: str = FULL,
-                 jobs: int = 1) -> tuple[Certificate, list[tuple[str, Certificate]]]:
+def run_criteria(inst: Instance, criteria: str = "all",
+                 mode: str = FULL) -> tuple[Certificate, list[tuple[str, Certificate]]]:
     """(final certificate, per-criterion results)."""
     if criteria == "all":
         names = [n for n in CRITERIA_ORDER
@@ -55,13 +55,13 @@ def run_criteria(inst: Instance, criteria: str = "all", mode: str = FULL,
     for name in names:
         try:
             if name == "range":
-                cert = range_certify(inst, jobs=jobs)
+                cert = range_certify(inst)
             elif name == "ranger":
-                cert = ranger_certify(inst, jobs=jobs)
+                cert = ranger_certify(inst)
             elif name == "kruskal":
-                cert = reshaped_kruskal_certify(inst, jobs=jobs)
+                cert = reshaped_kruskal_certify(inst)
             else:
-                cert = certify_octic14(inst, mode=mode, jobs=jobs)
+                cert = certify_octic14(inst, mode=mode)
         except WaringError as e:
             cert = Certificate(DEGENERATE, reason=f"{type(e).__name__}: {e}")
         except ValueError as e:

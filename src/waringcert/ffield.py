@@ -138,9 +138,60 @@ def row_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def rank_mod(a: np.ndarray, p: int) -> int:
-    """Rank over Z_p by fraction-free forward elimination."""
+def rank_mod(a: np.ndarray, p: int) -> int | np.ndarray:
+    """Rank over Z_p by fraction-free forward elimination.
+
+    A 2-d matrix gives an int.  A stack of shape (N, m, n) gives the N
+    ranks as an int64 array, eliminating all members at once with a
+    pivot row of their own, so singular, zero and non-square members
+    are exact like any other.
+    """
     a = as_residues(a, p)
+    if a.ndim == 2:
+        return _rank_one(a, p)
+    if a.ndim != 3:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    if a.shape[0] == 1:
+        # one matrix eliminates faster row by row than as a stack
+        return np.array([_rank_one(a[0], p)], dtype=np.int64)
+    return _rank_stacked(a, p)
+
+
+def _rank_stacked(a: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of the members of an (N, m, n) stack, reduced in place.
+
+    Per column, every member picks its first unused row with a nonzero
+    entry as pivot and clears that column in its other unused rows by
+    row_j * piv - f_j * row_piv.  A member without a pivot in the column
+    is left unchanged (multiplier 1, factor 0).
+    """
+    N, m, n = a.shape
+    members = np.arange(N)
+    used = np.zeros((N, m), dtype=bool)
+    ranks = np.zeros(N, dtype=np.int64)
+    for c in range(n):
+        col = a[:, :, c]
+        candidate = (col != 0) & ~used
+        has = candidate.any(axis=1)
+        if not has.any():
+            continue
+        i = candidate.argmax(axis=1)
+        piv = col[members, i]
+        prow = a[members, i, c:]
+        clear = candidate & has[:, None]
+        clear[members, i] = False
+        f = np.where(clear, col, 0)
+        mult = np.where(clear, piv[:, None], 1)
+        a[:, :, c:] = (a[:, :, c:] * mult[:, :, None]
+                       - f[:, :, None] * prow[:, None, :]) % p
+        used[members[has], i[has]] = True
+        ranks += has
+        if (ranks == min(m, n)).all():
+            break
+    return ranks
+
+
+def _rank_one(a: np.ndarray, p: int) -> int:
     m, n = a.shape
     r = 0
     for c in range(n):

@@ -86,8 +86,7 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
 
 
 def random_admissible_pointset(seed: int, prime: int = DEFAULT_PRIME,
-                               budget: int = DEFAULT_BUDGET,
-                               jobs: int = 1) -> tuple[PointSet, int]:
+                               budget: int = DEFAULT_BUDGET) -> tuple[PointSet, int]:
     """Rejection-sample 14 plane points until all admissibility gates hold.
 
     Gates: pairwise distinct, h(4) = 14, independent degree-8 images,
@@ -101,7 +100,7 @@ def random_admissible_pointset(seed: int, prime: int = DEFAULT_PRIME,
         if ps is None:
             continue
         # k_3 is capped at 10 by the plane cubics, so >= 10 means == 10
-        if not kruskal_rank_at_least(ps, 3, 10, jobs=jobs):
+        if not kruskal_rank_at_least(ps, 3, 10):
             continue
         return ps, attempt
     raise GenerationExhausted(f"no admissible point set in {budget} attempts")
@@ -122,9 +121,9 @@ def _sample_pointset(ctx: PrimeContext, rng) -> PointSet | None:
 
 
 def gen_identifiable(seed: int, prime: int = DEFAULT_PRIME,
-                     budget: int = DEFAULT_BUDGET, jobs: int = 1) -> GeneratedInstance:
+                     budget: int = DEFAULT_BUDGET) -> GeneratedInstance:
     """Admissible points with uniformly random nonzero coefficients."""
-    ps, attempts = random_admissible_pointset(seed, prime, budget, jobs=jobs)
+    ps, attempts = random_admissible_pointset(seed, prime, budget)
     rng = _rng(seed, 1)
     lam = rng.integers(1, prime, size=14, dtype=np.int64)
     return GeneratedInstance(
@@ -185,7 +184,7 @@ def _emit_unidentifiable(ps: PointSet, ia8: np.ndarray, gens8: np.ndarray,
 
 
 def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
-                       budget: int = DEFAULT_BUDGET, jobs: int = 1,
+                       budget: int = DEFAULT_BUDGET,
                        rational_residual: bool = False) -> GeneratedInstance:
     """A form with a certified second length-14 decomposition.
 
@@ -195,7 +194,7 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
     rational; see the module docstring.
     """
     if rational_residual:
-        return _gen_unidentifiable_rational(seed, prime, budget, jobs=jobs)
+        return _gen_unidentifiable_rational(seed, prime, budget)
     ctx = PrimeContext(prime)
     # same point stream as random_admissible_pointset, but kept open so a
     # degenerate residual family can fall through to a fresh point set
@@ -205,7 +204,7 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
     while attempts < budget:
         attempts += 1
         ps = _sample_pointset(ctx, rng_pts)
-        if ps is None or not kruskal_rank_at_least(ps, 3, 10, jobs=jobs):
+        if ps is None or not kruskal_rank_at_least(ps, 3, 10):
             continue
         try:
             fam = _family_or_none(ps)
@@ -296,8 +295,7 @@ _RATIONAL_INNER_TRIES = 80
 
 
 def _gen_unidentifiable_rational(seed: int, prime: int,
-                                 budget: int = DEFAULT_BUDGET,
-                                 jobs: int = 1) -> GeneratedInstance:
+                                 budget: int = DEFAULT_BUDGET) -> GeneratedInstance:
     """Second decomposition with all points rational, built on the quartic.
 
     Eleven random rational points of the quartic (besides A) leave a

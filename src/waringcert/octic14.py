@@ -137,7 +137,7 @@ def _require_octic14_shape(inst: Instance) -> None:
         )
 
 
-def check_preconditions(inst: Instance, jobs: int = 1) -> tuple:
+def check_preconditions(inst: Instance) -> tuple:
     """Admissibility tests: non-redundancy, middle Hilbert value, third
     Kruskal rank.  Returns the evidence; raises PreconditionFailed with
     the offending test number and computed value."""
@@ -153,7 +153,7 @@ def check_preconditions(inst: Instance, jobs: int = 1) -> tuple:
     h4 = evaluation_matrix(A, 4).rank()
     if h4 != 14:
         raise PreconditionFailed(2, h4, f"h_A(4) = {h4} != 14")
-    k3, examined = kruskal_rank_detail(A, 3, jobs=jobs)
+    k3, examined = kruskal_rank_detail(A, 3)
     if k3 != 10:
         raise PreconditionFailed(3, k3, f"k_3(A) = {k3} != 10")
     return (
@@ -452,7 +452,7 @@ def verify_witness(inst: Instance, fam: ResidualFamily, astar) -> dict:
     return record
 
 
-def certify_octic14(inst: Instance, mode: str = FULL, jobs: int = 1) -> Certificate:
+def certify_octic14(inst: Instance, mode: str = FULL) -> Certificate:
     """Full pipeline; never returns a false positive.
 
     Any failed intermediate check produces a degenerate certificate, not
@@ -461,7 +461,7 @@ def certify_octic14(inst: Instance, mode: str = FULL, jobs: int = 1) -> Certific
     all four verification checks.
     """
     try:
-        pre = check_preconditions(inst, jobs=jobs)
+        pre = check_preconditions(inst)
     except PreconditionFailed as e:
         return Certificate(
             DEGENERATE,

@@ -8,16 +8,15 @@ defect ell(Z) - h_Z(d), Kruskal ranks by exhaustive subset enumeration,
 the Cayley-Bacharach predicate in a given degree, and dimensions of
 intersections of Veronese spans.
 
-Projective equality of two coordinate tuples is decided exactly by the
-vanishing of all 2x2 minors of the stacked pair.
+Two coordinate tuples are the same projective point iff their
+canonical representatives (first nonzero coordinate scaled to 1) agree;
+projectively_equal decides the same by the 2x2 minors of the pair.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -68,12 +67,11 @@ class PointSet:
         for i, q in enumerate(pts):
             if not any(q):
                 raise ZeroPoint(f"point {i} is the zero tuple")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if projectively_equal(pts[i], pts[j], ctx.p):
-                    raise DuplicatePoint(
-                        f"points {i} and {j} are projectively equal"
-                    )
+        first: dict[tuple[int, ...], int] = {}
+        for j, q in enumerate(pts):
+            i = first.setdefault(_canonical_point(q, ctx.p), j)
+            if i != j:
+                raise DuplicatePoint(f"points {i} and {j} are projectively equal")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", tuple(pts))
@@ -175,41 +173,30 @@ def h1_defect(Z: PointSet, d: int) -> int:
     return len(Z) - evaluation_matrix(Z, d).rank()
 
 
-def _subset_chunk_full_rank(args) -> bool:
-    rows_bytes, shape, p, subsets = args
-    mat = np.frombuffer(rows_bytes, dtype=np.int64).reshape(shape)
-    for sub in subsets:
-        if rank_mod(mat[list(sub)], p) != len(sub):
-            return False
-    return True
+# Subsets are stacked for one rank_mod call in chunks of at most this
+# many int64 entries (N * k * columns); larger chunks were no faster and
+# grow the peak memory of a check.
+_SUBSET_CHUNK_ENTRIES = 2**13
 
 
-def _all_subsets_independent(mat: np.ndarray, p: int, k: int, jobs: int = 1) -> tuple[bool, int]:
+def _all_subsets_independent(mat: np.ndarray, p: int, k: int) -> tuple[bool, int]:
     """Whether every k-subset of rows has rank k; also how many subsets
-    were examined (all of them on success, a prefix on failure)."""
-    ell = mat.shape[0]
-    subs = combinations(range(ell), k)
-    if jobs <= 1:
-        examined = 0
-        for sub in subs:
-            examined += 1
-            if rank_mod(mat[list(sub)], p) != k:
-                return False, examined
-        return True, examined
-    total = comb(ell, k)
-    chunk = max(64, total // (8 * jobs) + 1)
-    all_subs = list(subs)
-    payload = mat.tobytes()
-    tasks = [
-        (payload, mat.shape, p, all_subs[i:i + chunk])
-        for i in range(0, total, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        ok = all(pool.map(_subset_chunk_full_rank, tasks))
-    return ok, total
+    were examined (all of them on success, up to and including the first
+    dependent one on failure).  Subsets run in combinations() order."""
+    subs = combinations(range(mat.shape[0]), k)
+    per_chunk = max(1, _SUBSET_CHUNK_ENTRIES // (k * mat.shape[1]))
+    examined = 0
+    while True:
+        chunk = list(islice(subs, per_chunk))
+        if not chunk:
+            return True, examined
+        dependent = np.flatnonzero(rank_mod(mat[np.array(chunk)], p) != k)
+        if dependent.size:
+            return False, examined + int(dependent[0]) + 1
+        examined += len(chunk)
 
 
-def kruskal_rank(Z: PointSet, d: int, jobs: int = 1) -> int:
+def kruskal_rank(Z: PointSet, d: int) -> int:
     """Largest k such that every k-subset of the degree-d Veronese images
     is linearly independent.
 
@@ -220,11 +207,11 @@ def kruskal_rank(Z: PointSet, d: int, jobs: int = 1) -> int:
     cached = Z._kruskal_cache.get(d)
     if cached is not None:
         return cached[0]
-    k, _ = kruskal_rank_detail(Z, d, jobs=jobs)
+    k, _ = kruskal_rank_detail(Z, d)
     return k
 
 
-def kruskal_rank_detail(Z: PointSet, d: int, jobs: int = 1) -> tuple[int, int]:
+def kruskal_rank_detail(Z: PointSet, d: int) -> tuple[int, int]:
     """(kruskal rank, number of subsets examined)."""
     cached = Z._kruskal_cache.get(d)
     if cached is not None:
@@ -235,7 +222,7 @@ def kruskal_rank_detail(Z: PointSet, d: int, jobs: int = 1) -> tuple[int, int]:
     examined = 0
     result = None
     for k in range(kmax, 0, -1):
-        ok, n_checked = _all_subsets_independent(mat, p, k, jobs=jobs)
+        ok, n_checked = _all_subsets_independent(mat, p, k)
         examined += n_checked
         if ok:
             result = (k, examined)
@@ -246,7 +233,7 @@ def kruskal_rank_detail(Z: PointSet, d: int, jobs: int = 1) -> tuple[int, int]:
     return result
 
 
-def kruskal_rank_at_least(Z: PointSet, d: int, k: int, jobs: int = 1) -> bool:
+def kruskal_rank_at_least(Z: PointSet, d: int, k: int) -> bool:
     """Fast gate for k_d(Z) >= k: stops at the first dependent subset
     instead of descending to the exact rank."""
     cached = Z._kruskal_cache.get(d)
@@ -256,7 +243,7 @@ def kruskal_rank_at_least(Z: PointSet, d: int, k: int, jobs: int = 1) -> bool:
     kmax = min(mat.shape[1], len(Z))
     if k > kmax:
         return False
-    ok, examined = _all_subsets_independent(mat, Z.ctx.p, k, jobs=jobs)
+    ok, examined = _all_subsets_independent(mat, Z.ctx.p, k)
     if ok and k == kmax:
         # the gate already proved the maximum, so remember it
         Z._kruskal_cache[d] = (k, examined)
@@ -274,12 +261,12 @@ def cb_check(Z: PointSet, d: int) -> bool:
         raise ValueError("Cayley-Bacharach needs at least two points")
     full = evaluation_matrix(Z, d)
     h = full.rank()
-    p = Z.ctx.p
-    for i in range(len(Z)):
-        rows = np.delete(full.a, i, axis=0)
-        if rank_mod(rows, p) != h:
-            return False
-    return True
+    ell = len(Z)
+    if h == ell:
+        # independent rows lose rank whichever one is dropped
+        return False
+    keep = np.array([[j for j in range(ell) if j != i] for i in range(ell)])
+    return bool(np.all(rank_mod(full.a[keep], Z.ctx.p) == h))
 
 
 def span_intersection_dim(A: PointSet, B: PointSet, d: int) -> int:

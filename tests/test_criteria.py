@@ -57,6 +57,34 @@ def test_kruskal_inconclusive_at_14(ctx, t1):
     assert "25/2" in cert.reason
 
 
+def test_kruskal_records_cap_bounds_at_14(t1):
+    ev = reshaped_kruskal_certify(t1).evidence_dict()
+    assert ev["kruskal_cap_bound_4_3_1"] == "(14+10+3-2)/2 = 25/2"
+    assert not any(key.startswith("kruskal_bound_") for key in ev)
+
+
+def test_cap_first_criteria_compute_no_kruskal_rank():
+    # r = 14 is past range's cap 13 and every split's cap bound, so the
+    # verdict follows from the caps before any subset is enumerated
+    from waringcert.fixtures import reference_instance
+
+    inst = reference_instance()
+    cert = range_certify(inst)
+    assert cert.evidence_dict()["skipped"] == "kruskal_3: r = 14 > rank_cap = 13"
+    assert reshaped_kruskal_certify(inst).verdict == "inconclusive"
+    assert inst.pointset._kruskal_cache == {}
+
+
+def test_ranger_odd_degree_over_cap_skips_kruskal(ctx):
+    # degree 7: cap 12, so 13 points are decided by the cap alone
+    rng = np.random.default_rng(12)
+    inst = random_instance(ctx, rng, 13, 7)
+    cert = ranger_certify(inst)
+    assert cert.verdict == "inconclusive"
+    assert cert.evidence_dict()["rank_cap"] == 12
+    assert inst.pointset._kruskal_cache == {}
+
+
 def test_kruskal_inconclusive_small_degree(ctx):
     rng = np.random.default_rng(2)
     inst = random_instance(ctx, rng, 5, 3)

@@ -149,3 +149,83 @@ def test_normalize_projective(ctx):
     assert out[2] == 3
     with pytest.raises(ValueError):
         normalize_projective(np.zeros(3, dtype=np.int64), ctx.p)
+
+
+# ------------------------------------------------------- stacked rank_mod
+
+STACK_PRIMES = (3, 5, 101, 31991, 2**31 - 1)
+
+
+def oracle_rank(rows, p: int) -> int:
+    """Rank by Gauss-Jordan elimination on plain Python ints."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        for j in range(len(rows)):
+            if j != r and rows[j][c]:
+                f = rows[j][c] * inv % p
+                rows[j] = [(x - f * y) % p for x, y in zip(rows[j], rows[r])]
+        r += 1
+    return r
+
+
+def mixed_stack(rng, p: int, N: int, m: int, n: int) -> np.ndarray:
+    """Random members, all-zero members, products of lower rank and
+    members with a repeated row, in shuffled order."""
+    members = []
+    for t in range(N):
+        kind = t % 4
+        if kind == 0:
+            a = rng.integers(0, p, size=(m, n))
+        elif kind == 1:
+            a = np.zeros((m, n), dtype=np.int64)
+        elif kind == 2:
+            inner = int(rng.integers(0, min(m, n)))  # rank <= inner < min(m, n)
+            a = matmul_mod(rng.integers(0, p, size=(m, inner)),
+                           rng.integers(0, p, size=(inner, n)), p)
+        else:
+            a = rng.integers(0, p, size=(m, n))
+            if m > 1:
+                a[-1] = a[0]
+        members.append(a)
+    order = rng.permutation(N)
+    return np.array([members[i] for i in order], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+@pytest.mark.parametrize("shape", [(1, 4, 4), (9, 1, 5), (12, 3, 7), (12, 7, 3),
+                                   (16, 6, 6), (20, 10, 10), (5, 1, 1)])
+def test_stacked_rank_matches_loop_and_oracle(p, shape):
+    rng = np.random.default_rng([p % 1000, *shape])
+    stack = mixed_stack(rng, p, *shape)
+    ranks = rank_mod(stack, p)
+    assert ranks.shape == (shape[0],)
+    assert ranks.tolist() == [rank_mod(a, p) for a in stack]
+    assert ranks.tolist() == [oracle_rank(a.tolist(), p) for a in stack]
+
+
+def test_stacked_rank_singular_members_at_small_prime():
+    # at p = 3 a random 6x6 is singular about half the time
+    p = 3
+    stack = np.random.default_rng(5).integers(0, p, size=(200, 6, 6))
+    ranks = rank_mod(stack, p)
+    assert (ranks < 6).sum() > 50
+    assert ranks.tolist() == [oracle_rank(a.tolist(), p) for a in stack]
+
+
+def test_stacked_rank_does_not_modify_input():
+    p = 101
+    stack = np.random.default_rng(6).integers(0, p, size=(4, 3, 3))
+    before = stack.copy()
+    rank_mod(stack, p)
+    assert np.array_equal(stack, before)
+
+
+def test_rank_mod_rejects_other_dimensions():
+    with pytest.raises(ValueError):
+        rank_mod(np.zeros((2, 2, 2, 2), dtype=np.int64), 5)

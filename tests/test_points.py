@@ -15,7 +15,7 @@ from waringcert import (
     span_intersection_dim,
 )
 from waringcert.errors import DuplicatePoint, ZeroPoint
-from waringcert.fixtures import six_point_sets
+from waringcert.fixtures import reference_pointset, six_point_sets
 from waringcert.points import kruskal_rank_at_least, projectively_equal
 
 from conftest import random_pointset
@@ -138,14 +138,6 @@ def test_kruskal_reference_detail(ref_points):
     assert examined == 1001
 
 
-def test_kruskal_parallel_agrees(ctx):
-    from waringcert.fixtures import reference_pointset
-
-    serial = kruskal_rank_detail(reference_pointset(), 3, jobs=1)
-    parallel = kruskal_rank_detail(reference_pointset(), 3, jobs=2)
-    assert serial == parallel == (10, 1001)
-
-
 def test_kruskal_at_least_gate(ctx):
     z = line_points(ctx, [0, 1, 2])
     assert kruskal_rank_at_least(z, 1, 2)
@@ -171,7 +163,87 @@ def test_kruskal_brute_force_agreement(ctx):
         assert kruskal_rank(z, 1) == brute
 
 
+def loop_kruskal_detail(mat, p):
+    """Kruskal rank and subsets examined by the plain per-subset loop:
+    descend from the cap, stop a size at its first dependent subset."""
+    from itertools import combinations
+
+    from waringcert.ffield import rank_mod
+
+    ell, cols = mat.shape
+    examined = 0
+    for k in range(min(ell, cols), 0, -1):
+        for sub in combinations(range(ell), k):
+            examined += 1
+            if rank_mod(mat[list(sub)], p) != k:
+                break
+        else:
+            return k, examined
+    return 0, examined
+
+
+@pytest.mark.parametrize("p", (5, 7, 101))
+def test_kruskal_detail_matches_subset_loop(p):
+    # small primes make dependent subsets common, so most cases take the
+    # failure path and the examined prefix ends inside a stacked chunk
+    ctx = PrimeContext(p)
+    rng = np.random.default_rng(p)
+    counts = (6, 9) if p == 5 else (6, 9, 14)  # the plane over Z_5 has 31 points
+    failures = 0
+    for count in counts:
+        for d in (1, 2, 3):
+            z = random_pointset(ctx, rng, count, n=2)
+            mat = evaluation_matrix(z, d).a
+            expect = loop_kruskal_detail(mat, p)
+            failures += expect[0] < min(mat.shape)
+            assert kruskal_rank_detail(z, d) == expect
+            for k in range(1, expect[0] + 2):
+                fresh = PointSet(ctx, z.points)
+                assert kruskal_rank_at_least(fresh, d, k) == (k <= expect[0])
+    assert failures > 0
+
+
+def test_kruskal_at_least_caches_only_the_proved_maximum(ctx):
+    z = PointSet(ctx, reference_pointset().points)
+    assert kruskal_rank_at_least(z, 2, 5)
+    assert z._kruskal_cache == {}
+    assert kruskal_rank_at_least(z, 3, 10)
+    assert z._kruskal_cache == {3: (10, 1001)}
+
+
+def test_pointset_duplicates_agree_with_minors():
+    # at p = 5 the plane has 31 points, so random draws often collide
+    ctx = PrimeContext(5)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        pts = [tuple(int(c) for c in row)
+               for row in rng.integers(0, 5, size=(4, 3)) if row.any()]
+        dup = any(projectively_equal(pts[i], pts[j], 5)
+                  for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        if dup:
+            with pytest.raises(DuplicatePoint):
+                PointSet(ctx, pts)
+        else:
+            assert len(PointSet(ctx, pts)) == len(pts)
+
+
 # ------------------------------------------------------------- cayley-bacharach
+
+def test_cb_check_matches_deletion_loop(ctx):
+    from waringcert.ffield import rank_mod
+
+    rng = np.random.default_rng(3)
+    sets = list(six_point_sets().values()) + [
+        conic_points(ctx, range(8)), line_points(ctx, range(7)),
+        random_pointset(ctx, rng, 9, n=2), random_pointset(ctx, rng, 12, n=3)]
+    for z in sets:
+        for d in range(1, 5):
+            full = evaluation_matrix(z, d).a
+            h = rank_mod(full, ctx.p)
+            expect = all(rank_mod(np.delete(full, i, axis=0), ctx.p) == h
+                         for i in range(len(z)))
+            assert cb_check(z, d) == expect
+
 
 def test_cb_examples(ctx):
     sets = six_point_sets()
