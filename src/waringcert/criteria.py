@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadSplit, NotConcise, RedundancyDetected
 from .ffield import PrimeContext, as_residues, matmul_mod
-from .points import PointSet, evaluation_matrix, kruskal_rank
+from .points import PointSet, evaluation_matrix, kruskal_rank, kruskal_rank_at_least
 
 IDENTIFIABLE = "identifiable"
 COMPUTES_RANK = "computes_rank"
@@ -186,6 +186,12 @@ def _over_rank_cap(evidence: list, r: int, r_cap: int, d: int,
     )
 
 
+def _floor_evidence(reached: bool, floor: int) -> int | str:
+    """Evidence for a Kruskal rank asked only whether it reaches its cap:
+    the cap itself when it does, "< cap" when it does not."""
+    return floor if reached else f"< {floor}"
+
+
 def range_certify(inst: Instance) -> Certificate:
     """Identifiability certificate for plane decompositions from one
     Kruskal rank and one Hilbert value.
@@ -209,10 +215,11 @@ def range_certify(inst: Instance) -> Certificate:
         e, k_need = m, min(comb(m + 2, 2), r)
     if r > r_cap:
         return _over_rank_cap(evidence, r, r_cap, d, e)
-    k = kruskal_rank(inst.pointset, e)
+    k_ok = kruskal_rank_at_least(inst.pointset, e, k_need)
     h = evaluation_matrix(inst.pointset, e + 1).rank()
-    evidence += [(f"kruskal_{e}", k), (f"hilbert_{e + 1}", h), ("rank_cap", r_cap)]
-    if k == k_need and h == r:
+    evidence += [(f"kruskal_{e}", _floor_evidence(k_ok, k_need)),
+                 (f"hilbert_{e + 1}", h), ("rank_cap", r_cap)]
+    if k_ok and h == r:
         return Certificate(IDENTIFIABLE, rank=r, evidence=tuple(evidence))
     return Certificate(
         INCONCLUSIVE,
@@ -244,11 +251,11 @@ def ranger_certify(inst: Instance) -> Certificate:
         if r > r_cap:
             return _over_rank_cap(evidence, r, r_cap, d, m)
         k_need = min(comb(m + 2, 2), r)
-        k = kruskal_rank(inst.pointset, m)
+        k_ok = kruskal_rank_at_least(inst.pointset, m, k_need)
         h = evaluation_matrix(inst.pointset, m + 1).rank()
-        evidence += [(f"kruskal_{m}", k), (f"hilbert_{m + 1}", h),
-                     ("rank_cap", r_cap)]
-        ok = k == k_need and h == r
+        evidence += [(f"kruskal_{m}", _floor_evidence(k_ok, k_need)),
+                     (f"hilbert_{m + 1}", h), ("rank_cap", r_cap)]
+        ok = k_ok and h == r
     if ok:
         return Certificate(COMPUTES_RANK, rank=r, evidence=tuple(evidence))
     return Certificate(
@@ -291,9 +298,8 @@ def mo_certify(inst: Instance) -> Certificate:
         evidence.append(("bound_boundary_case", True))
     ok = Fraction(deficit) <= bound
     if ok and d % 2 == 1:
-        k = kruskal_rank(inst.pointset, m)
-        evidence.append((f"kruskal_{m}", k))
-        ok = k == r
+        ok = kruskal_rank_at_least(inst.pointset, m, r)
+        evidence.append((f"kruskal_{m}", _floor_evidence(ok, r)))
     if ok:
         return Certificate(IDENTIFIABLE, rank=r, evidence=tuple(evidence))
     return Certificate(

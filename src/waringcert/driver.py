@@ -4,9 +4,12 @@ Order: the two rank/Hilbert criteria, then the reshaped Kruskal bound
 (subset enumeration dominates cost), then the fourteen-point octic
 pipeline when its shape applies.  The run stops at the first criterion
 that settles identifiability either way; a minimality-only verdict is
-kept as a fallback.  Criterion-level errors (redundant instance, wrong
-ambient dimension) become degenerate results instead of propagating, so
-a batch run always produces a certificate per instance.
+kept as a fallback.  A selected criterion that is not stated for the
+instance's shape (range and ranger outside the plane, octic14 when named
+for another shape) is skipped and recorded as inconclusive.  Library errors about the instance (redundant
+decomposition, failed pipeline checks) become degenerate results, so a
+batch run always produces a certificate per instance; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ def _octic14_applicable(inst: Instance) -> bool:
     return inst.pointset.n == 2 and inst.degree == 8 and inst.length == 14
 
 
+def _not_applicable(name: str, inst: Instance) -> str | None:
+    """Why the criterion is not stated for this instance, or None."""
+    if name in ("range", "ranger") and inst.pointset.n != 2:
+        return f"stated for plane point sets, got n = {inst.pointset.n}"
+    if name == "octic14" and not _octic14_applicable(inst):
+        return "stated for 14 plane points in degree 8"
+    return None
+
+
 def run_criteria(inst: Instance, criteria: str = "all",
                  mode: str = FULL) -> tuple[Certificate, list[tuple[str, Certificate]]]:
     """(final certificate, per-criterion results)."""
@@ -53,6 +65,12 @@ def run_criteria(inst: Instance, criteria: str = "all",
         raise ValueError(f"unknown criteria selector {criteria!r}")
     results: list[tuple[str, Certificate]] = []
     for name in names:
+        why = _not_applicable(name, inst)
+        if why is not None:
+            skipped = Certificate(INCONCLUSIVE, reason=f"not applicable: {why}",
+                                  evidence=(("skipped", why),))
+            results.append((name, skipped))
+            continue
         try:
             if name == "range":
                 cert = range_certify(inst)
@@ -64,8 +82,6 @@ def run_criteria(inst: Instance, criteria: str = "all",
                 cert = certify_octic14(inst, mode=mode)
         except WaringError as e:
             cert = Certificate(DEGENERATE, reason=f"{type(e).__name__}: {e}")
-        except ValueError as e:
-            cert = Certificate(DEGENERATE, reason=str(e))
         results.append((name, cert))
         if cert.verdict in (IDENTIFIABLE, NOT_IDENTIFIABLE):
             break

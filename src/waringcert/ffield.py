@@ -332,17 +332,3 @@ class DenseMatrix:
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols} over Z_{self.ctx.p})"
 
-
-def rank(m: DenseMatrix) -> int:
-    """Rank of m over its prime field."""
-    return m.rank()
-
-
-def kernel_basis(m: DenseMatrix) -> list[np.ndarray]:
-    """Canonical basis of the right null space of m."""
-    return m.kernel_basis()
-
-
-def solve(m: DenseMatrix, b) -> tuple[np.ndarray, int]:
-    """Particular solution of m x = b and the null-space dimension."""
-    return m.solve(b)

@@ -165,8 +165,8 @@ def _emit_unidentifiable(ps: PointSet, ia8: np.ndarray, gens8: np.ndarray,
     if null_dim != 0 or np.any(lam == 0):
         return None
     inst = Instance(ps, 8, lam)
-    # the emitted coefficient vector must reproduce the annihilator exactly
-    assert np.array_equal(inst.coeff_vector, t)
+    if not np.array_equal(inst.coeff_vector, t):
+        raise RuntimeError("emitted coefficients do not reproduce the annihilator")
     rref, pivots = row_echelon(gens8, p)
     witness = {
         "residual_octics_rank": 31,

@@ -61,7 +61,13 @@ from .ffield import (
     rank_mod,
     row_echelon,
 )
-from .points import PointSet, evaluation_matrix, kruskal_rank_detail
+from .points import (
+    PointSet,
+    evaluation_matrix,
+    kruskal_failure,
+    kruskal_rank_at_least,
+    kruskal_rank_detail,
+)
 from .polys import (
     GradedPoly,
     ParamPoly,
@@ -140,7 +146,9 @@ def _require_octic14_shape(inst: Instance) -> None:
 def check_preconditions(inst: Instance) -> tuple:
     """Admissibility tests: non-redundancy, middle Hilbert value, third
     Kruskal rank.  Returns the evidence; raises PreconditionFailed with
-    the offending test number and computed value."""
+    the offending test number and computed value.  Test 3 needs only
+    k_3(A) >= 10, so its failure value is the first dependent subset in
+    combinations order, not the exact k_3."""
     _require_octic14_shape(inst)
     A = inst.pointset
     r8 = evaluation_matrix(A, 8).rank()
@@ -153,9 +161,13 @@ def check_preconditions(inst: Instance) -> tuple:
     h4 = evaluation_matrix(A, 4).rank()
     if h4 != 14:
         raise PreconditionFailed(2, h4, f"h_A(4) = {h4} != 14")
+    if not kruskal_rank_at_least(A, 3, 10):
+        floor, examined, subset = kruskal_failure(A, 3)
+        raise PreconditionFailed(
+            3, subset, f"k_3(A) < {floor}: the {floor}-subset {subset} is "
+                       f"dependent (subset {examined} in combinations order)")
+    # the passed floor is the cap, so the exact rank is cached
     k3, examined = kruskal_rank_detail(A, 3)
-    if k3 != 10:
-        raise PreconditionFailed(3, k3, f"k_3(A) = {k3} != 10")
     return (
         ("rank_ev8", r8),
         ("lambda_nonzero", True),

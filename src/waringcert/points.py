@@ -16,12 +16,12 @@ projectively_equal decides the same by the 2x2 minors of the pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import DuplicatePoint, ZeroPoint
-from .ffield import DenseMatrix, PrimeContext, rank_mod
+from .ffield import DenseMatrix, PrimeContext, rank_mod, row_echelon
 from .polys import _veronese_rows
 
 
@@ -51,11 +51,13 @@ class PointSet:
     """An ordered list of pairwise distinct projective points.
 
     Coordinate representatives are fixed at construction (reduced mod p)
-    and the order is meaningful for reporting.  Evaluation matrices and
-    Kruskal ranks are cached per degree since the value is immutable.
+    and the order is meaningful for reporting.  Evaluation matrices,
+    Kruskal ranks and failed Kruskal floors are cached per degree since
+    the value is immutable.
     """
 
-    __slots__ = ("ctx", "n", "points", "_ev_cache", "_kruskal_cache")
+    __slots__ = ("ctx", "n", "points", "_ev_cache", "_kruskal_cache",
+                 "_kruskal_failures")
 
     def __init__(self, ctx: PrimeContext, points):
         pts = [tuple(int(c) % ctx.p for c in row) for row in points]
@@ -77,6 +79,7 @@ class PointSet:
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "_ev_cache", {})
         object.__setattr__(self, "_kruskal_cache", {})
+        object.__setattr__(self, "_kruskal_failures", {})
 
     def __setattr__(self, *_):
         raise AttributeError("PointSet is immutable")
@@ -173,26 +176,87 @@ def h1_defect(Z: PointSet, d: int) -> int:
     return len(Z) - evaluation_matrix(Z, d).rank()
 
 
-# Subsets are stacked for one rank_mod call in chunks of at most this
-# many int64 entries (N * k * columns); larger chunks were no faster and
-# grow the peak memory of a check.
+# Subsets are tested in chunks whose index array and stacked matrices
+# each hold at most this many int64 entries; larger chunks were no
+# faster and grow the peak memory of a check.
 _SUBSET_CHUNK_ENTRIES = 2**13
 
 
-def _all_subsets_independent(mat: np.ndarray, p: int, k: int) -> tuple[bool, int]:
-    """Whether every k-subset of rows has rank k; also how many subsets
-    were examined (all of them on success, up to and including the first
-    dependent one on failure).  Subsets run in combinations() order."""
-    subs = combinations(range(mat.shape[0]), k)
-    per_chunk = max(1, _SUBSET_CHUNK_ENTRIES // (k * mat.shape[1]))
+def _minor_test(mat: np.ndarray, p: int):
+    """Dependence test for the c-subsets of the rows of an ell x c matrix,
+    by the MDS criterion (MacWilliams & Sloane, ch. 11, Thm 8).
+
+    With B the first basis among the rows (the pivots of the transposed
+    echelon form) and R the coordinates of the other rows in that basis,
+    a c-subset S is independent iff the square minor of R on rows
+    S minus B and columns B minus S is nonzero.  Returns a function
+    mapping an (N, c) array of sorted subsets to their dependence flags,
+    or None when rank < c and so every c-subset is dependent.
+    """
+    ell, c = mat.shape
+    rref, basis = row_echelon(mat.T, p)
+    if len(basis) < c:
+        return None
+    in_basis = np.zeros(ell, dtype=bool)
+    in_basis[basis] = True
+    rest = np.flatnonzero(~in_basis)
+    coords = rref[:, rest].T  # row i: rest[i] in the basis rows
+    position = np.empty(ell, dtype=np.int64)
+    position[basis] = np.arange(c)
+    position[rest] = np.arange(ell - c)
+
+    def dependent(subsets: np.ndarray) -> np.ndarray:
+        outside = ~in_basis[subsets]
+        sizes = outside.sum(axis=1)
+        flags = np.zeros(len(subsets), dtype=bool)
+        for s in range(1, int(sizes.max()) + 1):
+            members = np.flatnonzero(sizes == s)
+            if not members.size:
+                continue
+            sub, out = subsets[members], outside[members]
+            rows = position[sub[out]].reshape(-1, s)
+            kept = np.zeros((len(members), c), dtype=bool)
+            kept[np.nonzero(~out)[0], position[sub[~out]]] = True
+            cols = np.nonzero(~kept)[1].reshape(-1, s)
+            minors = coords[rows[:, :, None], cols[:, None, :]]
+            if s == 1:
+                flags[members] = minors[:, 0, 0] == 0
+            else:
+                flags[members] = rank_mod(minors, p) != s
+        return flags
+
+    return dependent
+
+
+def _first_dependent_subset(mat: np.ndarray, p: int, k: int):
+    """(subsets examined, first dependent k-subset of rows or None).
+
+    Subsets run in combinations() order; every subset is examined on
+    success, and up to and including the first dependent one on failure.
+    At k = columns each subset is decided by one minor of size at most
+    min(rows - k, k) instead of a k x k rank.
+    """
+    ell, c = mat.shape
+    if k == c:
+        dependent = _minor_test(mat, p)
+        if dependent is None:
+            return 1, tuple(range(k))
+        entries = max(c, min(ell - c, c) ** 2)
+    else:
+        def dependent(subsets):
+            return rank_mod(mat[subsets], p) != k
+        entries = k * c
+    subs = combinations(range(ell), k)
+    per_chunk = max(1, _SUBSET_CHUNK_ENTRIES // entries)
     examined = 0
     while True:
-        chunk = list(islice(subs, per_chunk))
-        if not chunk:
-            return True, examined
-        dependent = np.flatnonzero(rank_mod(mat[np.array(chunk)], p) != k)
-        if dependent.size:
-            return False, examined + int(dependent[0]) + 1
+        chunk = np.fromiter(chain.from_iterable(islice(subs, per_chunk)),
+                            dtype=np.int64).reshape(-1, k)
+        if not chunk.size:
+            return examined, None
+        hits = np.flatnonzero(dependent(chunk))
+        if hits.size:
+            return examined + int(hits[0]) + 1, tuple(int(i) for i in chunk[hits[0]])
         examined += len(chunk)
 
 
@@ -204,11 +268,7 @@ def kruskal_rank(Z: PointSet, d: int) -> int:
     first candidate, and once all k-subsets are independent every smaller
     subset is too.
     """
-    cached = Z._kruskal_cache.get(d)
-    if cached is not None:
-        return cached[0]
-    k, _ = kruskal_rank_detail(Z, d)
-    return k
+    return kruskal_rank_detail(Z, d)[0]
 
 
 def kruskal_rank_detail(Z: PointSet, d: int) -> tuple[int, int]:
@@ -222,9 +282,9 @@ def kruskal_rank_detail(Z: PointSet, d: int) -> tuple[int, int]:
     examined = 0
     result = None
     for k in range(kmax, 0, -1):
-        ok, n_checked = _all_subsets_independent(mat, p, k)
+        n_checked, witness = _first_dependent_subset(mat, p, k)
         examined += n_checked
-        if ok:
+        if witness is None:
             result = (k, examined)
             break
     if result is None:
@@ -235,19 +295,37 @@ def kruskal_rank_detail(Z: PointSet, d: int) -> tuple[int, int]:
 
 def kruskal_rank_at_least(Z: PointSet, d: int, k: int) -> bool:
     """Fast gate for k_d(Z) >= k: stops at the first dependent subset
-    instead of descending to the exact rank."""
+    instead of descending to the exact rank.
+
+    A pass at the cap min(C(n+d, n), ell) proves the exact rank and is
+    cached as such; a failure is remembered apart from exact ranks (see
+    kruskal_failure), so asking again eliminates nothing.
+    """
     cached = Z._kruskal_cache.get(d)
     if cached is not None:
         return cached[0] >= k
+    failed = Z._kruskal_failures.get(d)
+    if failed is not None and failed[0] <= k:
+        return False
     mat = evaluation_matrix(Z, d).a
     kmax = min(mat.shape[1], len(Z))
     if k > kmax:
         return False
-    ok, examined = _all_subsets_independent(mat, Z.ctx.p, k)
-    if ok and k == kmax:
+    examined, witness = _first_dependent_subset(mat, Z.ctx.p, k)
+    if witness is not None:
+        Z._kruskal_failures[d] = (k, examined, witness)
+        return False
+    if k == kmax:
         # the gate already proved the maximum, so remember it
         Z._kruskal_cache[d] = (k, examined)
-    return ok
+    return True
+
+
+def kruskal_failure(Z: PointSet, d: int) -> tuple[int, int, tuple[int, ...]] | None:
+    """The lowest floor f at which kruskal_rank_at_least(Z, d, f) failed,
+    the subsets it examined and the dependent f-subset that ended it, or
+    None when no floor has failed."""
+    return Z._kruskal_failures.get(d)
 
 
 def cb_check(Z: PointSet, d: int) -> bool:

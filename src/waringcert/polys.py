@@ -43,7 +43,12 @@ class MonomialBasis:
         return _exponent_index(self.n, self.d)[exps]
 
 
-@lru_cache(maxsize=None)
+# Bases are cached per (n, d); the bound keeps a long run over many
+# shapes from holding every basis it ever built.
+_BASIS_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def monomial_basis(n: int, d: int) -> MonomialBasis:
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
@@ -57,16 +62,18 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
                 yield (e,) + rest
 
     exps = tuple(gen(n + 1, d))
-    assert len(exps) == comb(n + d, n)
+    if len(exps) != comb(n + d, n):
+        raise RuntimeError(f"monomial basis has {len(exps)} exponents, "
+                           f"expected C({n + d}, {n})")
     return MonomialBasis(n, d, exps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _exponent_index(n: int, d: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(monomial_basis(n, d).exponents)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _exponent_array(n: int, d: int) -> np.ndarray:
     a = np.array(monomial_basis(n, d).exponents, dtype=np.int64)
     a.setflags(write=False)

@@ -14,15 +14,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+from math import comb
 from pathlib import Path
 
 from . import __version__
 from .criteria import Certificate, Instance
-from .errors import InstanceFormatError, NotPrime
+from .errors import InstanceFormatError, NotPrime, WaringError
 from .ffield import PrimeContext
 from .points import PointSet
 
 INSTANCE_FIELDS = ("prime", "n", "degree", "points", "lambda")
+
+# Largest evaluation matrix an instance may ask for: ell * C(n+d, n)
+# entries, 2**18 of them or 2 MiB of int64.  Every criterion starts from
+# this matrix, so parse_instance checks the bound before any monomial
+# basis is built.  The shipped fixtures need 630 entries.
+MAX_EVALUATION_ENTRIES = 2**18
 
 
 def canonical_json(obj) -> str:
@@ -77,10 +84,15 @@ def parse_instance(text: str) -> tuple[Instance, dict]:
             "field 'lambda' must contain only integers")
     metadata = obj.get("metadata", {})
     _expect(isinstance(metadata, dict), "field 'metadata' must be an object")
+    # C(n+d, n) >= 2**min(n, d), so the first test keeps math.comb small
+    _expect(min(n, degree) < MAX_EVALUATION_ENTRIES.bit_length()
+            and len(points) * comb(n + degree, n) <= MAX_EVALUATION_ENTRIES,
+            f"{len(points)} points in degree {degree} need more than "
+            f"{MAX_EVALUATION_ENTRIES} evaluation entries (ell * C(n+d, n))")
     try:
         ps = PointSet(ctx, points)
-        inst = Instance(ps, degree, lam)
-    except Exception as e:
+        inst = Instance(ps, degree, [c % ctx.p for c in lam])
+    except (WaringError, ValueError) as e:
         raise InstanceFormatError(f"invalid instance data: {e}") from e
     return inst, metadata
 

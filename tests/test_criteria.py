@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from waringcert import (
     range_certify,
     ranger_certify,
     reshaped_kruskal_certify,
+    run_criteria,
 )
 from waringcert.criteria import admissible_splits, check_nonredundant
 from waringcert.errors import BadSplit, NotConcise, RedundancyDetected
@@ -83,6 +86,32 @@ def test_ranger_odd_degree_over_cap_skips_kruskal(ctx):
     assert cert.verdict == "inconclusive"
     assert cert.evidence_dict()["rank_cap"] == 12
     assert inst.pointset._kruskal_cache == {}
+
+
+def test_range_stops_at_the_floor_on_a_collinear_tail(ctx):
+    # eight collinear points put k_5 far below its cap 21; an exact rank
+    # would descend through every size from 21 to 6, the floor test stops
+    # at the first dependent 21-subset
+    rng = np.random.default_rng(0)
+    pts = [tuple(int(c) for c in row) for row in rng.integers(1, ctx.p, size=(14, 3))]
+    pts += [(1, t, 0) for t in range(1, 9)]
+    inst = Instance(PointSet(ctx, pts), 12, rng.integers(1, ctx.p, size=22))
+    t0 = time.perf_counter()
+    cert = range_certify(inst)
+    assert time.perf_counter() - t0 < 1.0
+    assert cert.verdict == "inconclusive"
+    assert cert.evidence_dict()["kruskal_5"] == "< 21"
+
+
+def test_driver_skips_plane_criteria_in_p3(ctx):
+    rng = np.random.default_rng(20)
+    inst = random_instance(ctx, rng, 20, 6, n=3)
+    final, results = run_criteria(inst)
+    assert final.verdict == "inconclusive"
+    assert [name for name, _ in results] == ["range", "ranger", "kruskal"]
+    for _, cert in results[:2]:
+        assert cert.verdict == "inconclusive"
+        assert cert.evidence_dict()["skipped"] == "stated for plane point sets, got n = 3"
 
 
 def test_kruskal_inconclusive_small_degree(ctx):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waringcert import DenseMatrix, PrimeContext, is_prime, kernel_basis, rank, solve
+from waringcert import DenseMatrix, PrimeContext, is_prime
 from waringcert.errors import InconsistentSystem, NotPrime
 from waringcert.ffield import matmul_mod, normalize_projective, rank_mod, row_echelon
 
@@ -35,29 +35,29 @@ def test_context_inverse():
 
 def test_rank_identity_and_zero(ctx):
     eye = DenseMatrix(ctx, np.eye(3, dtype=np.int64))
-    assert rank(eye) == 3
-    assert rank(DenseMatrix(ctx, np.zeros((4, 7), dtype=np.int64))) == 0
+    assert eye.rank() == 3
+    assert DenseMatrix(ctx, np.zeros((4, 7), dtype=np.int64)).rank() == 0
 
 
 def test_kernel_identity_empty(ctx):
-    assert kernel_basis(DenseMatrix(ctx, np.eye(3, dtype=np.int64))) == []
+    assert DenseMatrix(ctx, np.eye(3, dtype=np.int64)).kernel_basis() == []
 
 
 def test_kernel_forced_normalization(ctx):
     # a single row (1, 1): the canonical kernel vector is (-1, 1)
-    (v,) = kernel_basis(DenseMatrix(ctx, [[1, 1]]))
+    (v,) = DenseMatrix(ctx, [[1, 1]]).kernel_basis()
     assert v.tolist() == [ctx.p - 1, 1]
 
 
 def test_solve_identity_and_zero(ctx):
     eye = DenseMatrix(ctx, np.eye(3, dtype=np.int64))
-    x, nd = solve(eye, [5, 6, 7])
+    x, nd = eye.solve([5, 6, 7])
     assert x.tolist() == [5, 6, 7] and nd == 0
     zero = DenseMatrix(ctx, np.zeros((2, 2), dtype=np.int64))
-    x, nd = solve(zero, [0, 0])
+    x, nd = zero.solve([0, 0])
     assert x.tolist() == [0, 0] and nd == 2
     with pytest.raises(InconsistentSystem):
-        solve(zero, [1, 0])
+        zero.solve([1, 0])
 
 
 def test_negative_entries_are_reduced(ctx):

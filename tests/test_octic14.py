@@ -69,6 +69,14 @@ def test_precondition_conic_heavy(ctx):
     assert err.value.test == 2
 
 
+def assert_dependent_ten_subset(A, failure):
+    """Precondition 3 failed with a ten-subset whose cubic images are
+    dependent, which proves k_3(A) < 10 with one rank."""
+    subset = failure.value
+    assert failure.test == 3 and len(set(subset)) == len(subset) == 10
+    assert rank_mod(evaluation_matrix(A, 3).a[list(subset)], A.ctx.p) < 10
+
+
 def test_precondition_eight_on_conic_breaks_kruskal(ctx):
     # eight conic points stay independent on quartics but their cubic
     # images span only 7 dimensions, so every ten-subset containing them
@@ -80,7 +88,7 @@ def test_precondition_eight_on_conic_breaks_kruskal(ctx):
     assert evaluation_matrix(inst.pointset, 4).rank() == 14
     with pytest.raises(PreconditionFailed) as err:
         check_preconditions(inst)
-    assert err.value.test == 3 and err.value.value < 10
+    assert_dependent_ten_subset(inst.pointset, err.value)
 
 
 def test_precondition_collinear_kruskal(ctx):
@@ -93,7 +101,7 @@ def test_precondition_collinear_kruskal(ctx):
     assert evaluation_matrix(inst.pointset, 4).rank() == 14
     with pytest.raises(PreconditionFailed) as err:
         check_preconditions(inst)
-    assert err.value.test == 3 and err.value.value < 10
+    assert_dependent_ten_subset(inst.pointset, err.value)
 
 
 # -------------------------------------------------------------- unique quartic

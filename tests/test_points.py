@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from waringcert import (
 )
 from waringcert.errors import DuplicatePoint, ZeroPoint
 from waringcert.fixtures import reference_pointset, six_point_sets
-from waringcert.points import kruskal_rank_at_least, projectively_equal
+from waringcert import points as points_module
+from waringcert.ffield import rank_mod
+from waringcert.points import kruskal_failure, kruskal_rank_at_least, projectively_equal
 
 from conftest import random_pointset
 
@@ -209,6 +213,79 @@ def test_kruskal_at_least_caches_only_the_proved_maximum(ctx):
     assert z._kruskal_cache == {}
     assert kruskal_rank_at_least(z, 3, 10)
     assert z._kruskal_cache == {3: (10, 1001)}
+
+
+def no_elimination(*_):
+    raise AssertionError("answered by eliminating again")
+
+
+def test_fresh_reference_floor_proves_the_cap(ctx, monkeypatch):
+    # at the cap the floor test is the whole of the exact rank, so the
+    # exact detail that check_preconditions reports is a cache hit
+    z = PointSet(ctx, reference_pointset().points)
+    assert kruskal_rank_at_least(z, 3, 10)
+    assert z._kruskal_cache == {3: (10, 1001)}
+    assert kruskal_failure(z, 3) is None
+    monkeypatch.setattr(points_module, "rank_mod", no_elimination)
+    monkeypatch.setattr(points_module, "row_echelon", no_elimination)
+    assert kruskal_rank_detail(z, 3) == (10, 1001)
+
+
+def test_failed_floor_is_answered_from_the_cache(ctx, monkeypatch):
+    # five collinear points: their cubic images span only 4 dimensions
+    pts = [(1, t, 0) for t in range(5)] + [(1, 3, 7), (2, 5, 1), (4, 1, 9),
+                                           (1, 8, 2), (3, 2, 11), (5, 4, 6)]
+    z = PointSet(ctx, pts)
+    assert not kruskal_rank_at_least(z, 3, 10)
+    floor, examined, subset = kruskal_failure(z, 3)
+    assert floor == 10 and z._kruskal_cache == {}
+    assert rank_mod(evaluation_matrix(z, 3).a[list(subset)], ctx.p) < 10
+    monkeypatch.setattr(points_module, "rank_mod", no_elimination)
+    monkeypatch.setattr(points_module, "row_echelon", no_elimination)
+    assert not kruskal_rank_at_least(z, 3, 10)
+    assert kruskal_failure(z, 3) == (floor, examined, subset)
+
+
+def first_dependent_by_ranks(mat, p, k):
+    """(subsets examined, first dependent k-subset or None), ranking every
+    k-subset of rows as a matrix of its own, in combinations() order."""
+    subsets = list(combinations(range(mat.shape[0]), k))
+    ranks = rank_mod(mat[np.array(subsets)], p)
+    bad = np.flatnonzero(ranks != k)
+    if bad.size:
+        return int(bad[0]) + 1, subsets[bad[0]]
+    return len(subsets), None
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 101, 31991))
+def test_kruskal_cap_by_minors_matches_subset_ranks(p):
+    # at k = columns each subset is decided by a minor of the coordinates
+    # in the first row basis; it must agree with ranking the subsets
+    # themselves on both outcomes, including where the failure falls
+    ctx = PrimeContext(p)
+    rng = np.random.default_rng(1000 + p)
+    outcomes = set()
+    for d in (1, 2, 3):
+        c = (d + 1) * (d + 2) // 2
+        for extra in range(1, 7):
+            for tail in (0, 0, 3, 4):
+                while True:
+                    coords = rng.integers(0, p, size=(c + extra, 3))
+                    coords[len(coords) - tail:, 2] = 0
+                    try:
+                        z = PointSet(ctx, coords)
+                        break
+                    except (DuplicatePoint, ZeroPoint):
+                        continue
+                mat = evaluation_matrix(z, d).a
+                examined, subset = first_dependent_by_ranks(mat, p, c)
+                outcomes.add(subset is None)
+                assert kruskal_rank_at_least(z, d, c) == (subset is None)
+                if subset is None:
+                    assert z._kruskal_cache == {d: (c, examined)}
+                else:
+                    assert kruskal_failure(z, d) == (c, examined, subset)
+    assert outcomes == {True, False}
 
 
 def test_pointset_duplicates_agree_with_minors():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -62,10 +63,26 @@ def test_negative_coordinates_reduced():
     obj = {
         "prime": 31991, "n": 2, "degree": 8,
         "points": [[42, -4, 17]] + [[i + 1, 2 * i + 3, (i * i + 5)] for i in range(13)],
-        "lambda": [1] * 14,
+        "lambda": [-1, 10**30] + [1] * 12,
     }
     inst, _ = parse_instance(json.dumps(obj))
     assert inst.pointset.points[0] == (42, 31987, 17)
+    assert inst.lam[:2].tolist() == [31990, 10**30 % 31991]
+
+
+@pytest.mark.parametrize("n, degree", [(8, 40), (30, 10**9)])
+def test_parse_rejects_oversized_evaluation_quickly(n, degree):
+    # 3 * C(48, 8) is about 1.1e9 entries; C(n+d, n) >= 2**30 in the second
+    obj = {
+        "prime": 31991, "n": n, "degree": degree,
+        "points": [[1] + [0] * n, [0, 1] + [0] * (n - 1), [1] * (n + 1)],
+        "lambda": [1, 1, 1],
+    }
+    t0 = time.perf_counter()
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(json.dumps(obj))
+    assert time.perf_counter() - t0 < 1.0
+    assert "evaluation entries" in str(err.value)
 
 
 @pytest.mark.parametrize("mutate, message", [
