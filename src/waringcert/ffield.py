@@ -9,6 +9,8 @@ go through the reduced echelon form so their output is canonical.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import InconsistentSystem, NotPrime
@@ -80,8 +82,16 @@ class PrimeContext:
 
 
 def as_residues(entries, p: int) -> np.ndarray:
-    """Copy entries into an int64 array reduced mod p."""
-    a = np.array(entries, dtype=np.int64)
+    """Copy entries into an int64 array reduced mod p.
+
+    Integers outside the int64 range are reduced as Python ints first;
+    anything that is not an integer is refused there with TypeError.
+    """
+    try:
+        a = np.array(entries, dtype=np.int64)
+    except OverflowError:
+        a = np.frompyfunc(lambda x: operator.index(x) % p, 1, 1)(
+            np.array(entries, dtype=object)).astype(np.int64)
     return a % p
 
 
@@ -220,20 +230,18 @@ def kernel_mod(a: np.ndarray, p: int) -> list[np.ndarray]:
     the free coordinate is 1 and pivot coordinates carry the negated
     RREF entries.
     """
-    a = np.asarray(a)
-    n = a.shape[1]
     r, pivots = row_echelon(a, p)
-    pivset = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = np.zeros(n, dtype=np.int64)
-        v[free] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-r[i, free]) % p
-        basis.append(v)
-    return basis
+    return _kernel_from_echelon(r, pivots, p)
+
+
+def _kernel_from_echelon(r: np.ndarray, pivots, p: int) -> list[np.ndarray]:
+    is_free = np.ones(r.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, r.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-r[:len(pivots), free].T) % p
+    return list(basis)
 
 
 def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, int]:
@@ -270,10 +278,12 @@ class DenseMatrix:
     """Row-major exact matrix over Z_p.
 
     Thin immutable wrapper around an int64 array; the raw array is
-    exposed as .a for numpy work, with writes disabled.
+    exposed as .a for numpy work, with writes disabled.  Since the value
+    never changes, its rank and reduced echelon form are computed at
+    most once and kept.
     """
 
-    __slots__ = ("ctx", "a")
+    __slots__ = ("ctx", "a", "_rank", "_echelon")
 
     def __init__(self, ctx: PrimeContext, entries):
         a = as_residues(entries, ctx.p)
@@ -282,6 +292,8 @@ class DenseMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_rank", None)
+        object.__setattr__(self, "_echelon", None)
 
     def __setattr__(self, *_):
         raise AttributeError("DenseMatrix is immutable")
@@ -295,14 +307,29 @@ class DenseMatrix:
         return self.a.shape[1]
 
     def rank(self) -> int:
-        return rank_mod(self.a, self.ctx.p)
+        if self._rank is None:
+            # fraction-free elimination is cheaper than the echelon form,
+            # unless that is already at hand
+            r = (len(self._echelon[1]) if self._echelon is not None
+                 else rank_mod(self.a, self.ctx.p))
+            object.__setattr__(self, "_rank", r)
+        return self._rank
+
+    def _reduced(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        if self._echelon is None:
+            r, piv = row_echelon(self.a, self.ctx.p)
+            r.setflags(write=False)
+            object.__setattr__(self, "_echelon", (r, tuple(piv)))
+            object.__setattr__(self, "_rank", len(piv))
+        return self._echelon
 
     def rref(self) -> tuple["DenseMatrix", tuple[int, ...]]:
-        r, piv = row_echelon(self.a, self.ctx.p)
-        return DenseMatrix(self.ctx, r), tuple(piv)
+        r, piv = self._reduced()
+        return DenseMatrix(self.ctx, r), piv
 
     def kernel_basis(self) -> list[np.ndarray]:
-        return kernel_mod(self.a, self.ctx.p)
+        r, piv = self._reduced()
+        return _kernel_from_echelon(r, list(piv), self.ctx.p)
 
     def solve(self, b) -> tuple[np.ndarray, int]:
         return solve_mod(self.a, b, self.ctx.p)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +73,10 @@ from .polys import (
     GradedPoly,
     ParamPoly,
     det_poly,
+    maximal_minors,
     monomial_basis,
-    monomial_shift_indices,
     mult_map,
+    product_table,
 )
 
 FULL = "full"
@@ -102,6 +104,14 @@ class HilbertBurch:
 
     def lower_block(self) -> tuple[tuple[GradedPoly, ...], ...]:
         return self.M[1:]
+
+    @cached_property
+    def quartic_scale(self) -> int:
+        """The nonzero scalar mu with det(lower block) = mu * Q; raises
+        MinorDegenerate when the 4x4 linear minor is not such a multiple."""
+        return _proportionality(
+            det_poly([list(row) for row in self.lower_block()]), self.Q,
+            "the 4x4 linear minor of M is not a nonzero multiple of the quartic")
 
 
 @dataclass(frozen=True)
@@ -204,31 +214,24 @@ def _proportionality(f: GradedPoly, g: GradedPoly, error: str) -> int:
 def hilbert_burch(A: PointSet) -> HilbertBurch:
     """Ideal generators and the syzygy matrix of the fourteen points.
 
-    The quintic generators are the RREF-pivot choice of a basis of the
-    degree-5 ideal piece modulo the multiples of the quartic, and the
-    columns of M are the canonical kernel basis of the degree-6 relation
-    map (f, g1..g4) -> f*Q + sum_j g_j * Q_j, so the whole structure is
-    reproducible bit for bit.
+    The quintic generators are the first four canonical kernel vectors
+    of the degree-5 evaluation matrix that are independent of the
+    quartic multiples and of the vectors before them (the pivot columns
+    of one echelon form), and the columns of M are the canonical kernel
+    basis of the degree-6 relation map (f, g1..g4) -> f*Q + sum_j g_j * Q_j,
+    so the whole structure is reproducible bit for bit.
     """
     ctx = A.ctx
     p = ctx.p
     Q = unique_quartic(A)
     ker5 = evaluation_matrix(A, 5).kernel_basis()
     xQ = mult_map(Q, 5).a  # columns are x0*Q, x1*Q, x2*Q
-    rows = [xQ[:, i] for i in range(3)]
-    quintics = []
-    r = rank_mod(np.array(rows), p)
-    for v in ker5:
-        cand = rank_mod(np.array(rows + [v]), p)
-        if cand > r:
-            rows.append(v)
-            quintics.append(GradedPoly(ctx, monomial_basis(2, 5), v))
-            r = cand
-        if len(quintics) == 4:
-            break
+    _, pivots = row_echelon(np.column_stack([xQ] + ker5), p)
+    quintics = [GradedPoly(ctx, monomial_basis(2, 5), ker5[c - 3])
+                for c in pivots if c >= 3][:4]
     if len(quintics) != 4:
         raise SyzygyDimension(
-            f"degree-5 ideal piece spans only {r} dimensions with the "
+            f"degree-5 ideal piece spans only {len(pivots)} dimensions with the "
             "quartic multiples, expected 7"
         )
     phi = np.hstack([mult_map(Q, 6).a] + [mult_map(q, 6).a for q in quintics])
@@ -243,11 +246,9 @@ def hilbert_burch(A: PointSet) -> HilbertBurch:
         lins = [GradedPoly(ctx, lin_basis, v[6 + 3 * j:9 + 3 * j]) for j in range(4)]
         columns.append((conic, *lins))
     M = tuple(tuple(columns[k][i] for k in range(4)) for i in range(5))
-    lower = [list(row) for row in M[1:]]
-    quartic_minor = det_poly(lower)
-    _proportionality(quartic_minor, Q,
-                     "the 4x4 linear minor of M is not a nonzero multiple of the quartic")
-    return HilbertBurch(A, Q, tuple(quintics), M)
+    hb = HilbertBurch(A, Q, tuple(quintics), M)
+    hb.quartic_scale  # expand the 4x4 minor now, so a bad one fails here
+    return hb
 
 
 def normalization_check(hb: HilbertBurch) -> tuple[DenseMatrix, int]:
@@ -280,39 +281,21 @@ def residual_family(hb: HilbertBurch) -> ResidualFamily:
     ctx = hb.pointset.ctx
     lower = hb.lower_block()  # lower[i][k] = row i+2, column k+1 of M
     smlow = tuple(tuple(lower[k][i] for k in range(4)) for i in range(4))
-    free_conics = {
-        1: ParamPoly.generic_form(ctx, 2, 2, N_PARAMS, 0),
-        3: ParamPoly.generic_form(ctx, 2, 2, N_PARAMS, 6),
-    }
-    minors = []
-    seen_cofactor = False
-    for j in range(4):
-        acc = ParamPoly.zero(ctx, 2, 5, N_PARAMS)
-        for k in (1, 3):
-            sub = [
-                [smlow[r][c] for c in range(4) if c != k]
-                for r in range(4) if r != j
-            ]
-            cof = det_poly(sub)
-            if cof.is_zero():
-                continue
-            seen_cofactor = True
-            sign = -1 if k % 2 else 1
-            acc = acc + free_conics[k].mul_poly(cof).scale(sign)
-        minors.append(acc)
-    if not seen_cofactor:
+    # The cofactor of smlow without row j and column k is the minor of
+    # its transpose, the lower block, without row k and column j.
+    cofactors = [maximal_minors([list(row) for i, row in enumerate(lower) if i != k])
+                 for k in (1, 3)]
+    if all(c.is_zero() for minors_k in cofactors for c in minors_k.values()):
         raise DegenerateCofactors("all cubic cofactors vanish")
-    q_det = det_poly([list(r) for r in smlow])
-    mu = _proportionality(q_det, hb.Q,
-                          "family quartic minor is not a nonzero multiple of Q")
-    return ResidualFamily(hb, smlow, tuple(minors), mu)
-
-
-def _cubic_shift_maps() -> list[np.ndarray]:
-    """Index maps from the degree-5 basis into the degree-8 basis, one per
-    cubic monomial multiplier."""
-    return [monomial_shift_indices(2, e, 8)
-            for e in monomial_basis(2, 3).exponents]
+    # Along the conic row (0, q2, 0, q4) minor j is -q2 * C_j1 - q4 * C_j3;
+    # q * C is linear in the six coefficients of q through mult_map(C, 5).
+    minors = []
+    for j in range(4):
+        others = tuple(c for c in range(4) if c != j)
+        blocks = [mult_map(minors_k[others], 5).a for minors_k in cofactors]
+        minors.append(ParamPoly(ctx, monomial_basis(2, 5), -np.hstack(blocks)))
+    # det(smlow) is det of the transposed lower block of M
+    return ResidualFamily(hb, smlow, tuple(minors), hb.quartic_scale)
 
 
 def system_rows_full(inst: Instance, fam: ResidualFamily) -> np.ndarray:
@@ -324,25 +307,15 @@ def system_rows_full(inst: Instance, fam: ResidualFamily) -> np.ndarray:
     zero with T because the quartic vanishes on A.
     """
     p = inst.ctx.p
-    t = inst.coeff_vector
-    rows = []
-    for pm in fam.param_minors:
-        for shift in _cubic_shift_maps():
-            rows.append(matmul_mod(t[shift][None, :], pm.mat, p)[0])
-    return np.array(rows, dtype=np.int64)
+    # shifted[mu, i] is the coefficient of T at cubic monomial mu times
+    # quintic monomial i, so row mu pairs T with mu times a quintic
+    shifted = inst.coeff_vector[product_table(2, 3, 5)]
+    return np.vstack([matmul_mod(shifted, pm.mat, p) for pm in fam.param_minors])
 
 
 def _octic_columns(fam: ResidualFamily, avec: np.ndarray) -> np.ndarray:
     """45 x 40 array: the cubic multiples of the specialized minors."""
-    p = fam.base.pointset.ctx.p
-    cols = []
-    for pm in fam.param_minors:
-        spec = pm.specialize(avec).coeffs
-        for shift in _cubic_shift_maps():
-            col = np.zeros(45, dtype=np.int64)
-            col[shift] = spec
-            cols.append(col)
-    return np.array(cols, dtype=np.int64).T % p
+    return np.hstack([mult_map(pm.specialize(avec), 8).a for pm in fam.param_minors])
 
 
 def residual_octic_generators(fam: ResidualFamily, avec) -> np.ndarray:
@@ -375,6 +348,14 @@ def second_decomposition_system(inst: Instance, fam: ResidualFamily,
     piece of A to the full 44-dimensional sum, and use only those 13
     functionals.  Rank 12 certifies uniqueness either way; rank <= 11
     extracts a canonical kernel vector as witness candidate.
+
+    The selection works in the quotient by the ideal piece.  Since
+    I_A(8) = ker ev(A, 8), candidate j extends I_A(8) plus the earlier
+    candidates iff ev(A, 8) maps it outside the span of their images.
+    So the chosen candidates are the pivot columns of the 14 x 40 matrix
+    ev(A, 8) * candidates, and the sum has dimension
+    (45 - h_A(8)) + its rank; the 45 x 71 stack of a basis of I_A(8)
+    with the candidates has the same pivots past the ideal columns.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -385,21 +366,18 @@ def second_decomposition_system(inst: Instance, fam: ResidualFamily,
         selected = None
         attempt_used = None
     else:
-        ia8 = np.array(evaluation_matrix(inst.pointset, 8).kernel_basis())  # 31 x 45
+        ev8 = evaluation_matrix(inst.pointset, 8)
+        ideal_dim = ev8.cols - ev8.rank()  # dim I_A(8)
         selected = None
         attempt_used = None
         for attempt in range(SELECTION_RETRIES):
             rng = np.random.default_rng(_instance_seed(inst, 0x13 + attempt))
             avec = rng.integers(1, p, size=N_PARAMS, dtype=np.int64)
             cand = _octic_columns(fam, avec)  # 45 x 40
-            stacked = np.hstack([ia8.T, cand])  # 45 x 71
-            _, pivots = row_echelon(stacked, p)
-            if len(pivots) != 44:
+            _, pivots = row_echelon(matmul_mod(ev8.a, cand, p), p)  # 14 x 40
+            if ideal_dim + len(pivots) != 44 or len(pivots) != 13:
                 continue
-            chosen = [c - 31 for c in pivots if c >= 31]
-            if len(chosen) != 13:
-                continue
-            selected = tuple(chosen)
+            selected = tuple(pivots)
             attempt_used = attempt
             break
         if selected is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -175,23 +176,9 @@ class GradedPoly:
             return NotImplemented
         if other.n != self.n:
             raise DegreeMismatch("mixed variable counts")
-        p = self.ctx.p
-        n = self.n
         d = self.degree + other.degree
-        target = monomial_basis(n, d)
-        idx = _exponent_index(n, d)
-        out = np.zeros(target.size, dtype=np.int64)
-        mine = self.coeffs
-        theirs = other.coeffs
-        me = self.basis.exponents
-        oe = other.basis.exponents
-        for i in np.nonzero(mine)[0]:
-            ei = me[i]
-            ci = int(mine[i])
-            for j in np.nonzero(theirs)[0]:
-                k = idx[tuple(a + b for a, b in zip(ei, oe[j]))]
-                out[k] = (out[k] + ci * int(theirs[j])) % p
-        return GradedPoly(self.ctx, target, out)
+        prod = matmul_mod(mult_map(self, d).a, other.coeffs, self.ctx.p)
+        return GradedPoly(self.ctx, monomial_basis(self.n, d), prod)
 
     def eval(self, point) -> int:
         v = veronese_vector(self.ctx, point, self.degree)
@@ -236,18 +223,20 @@ def poly_eval(f: GradedPoly, point) -> int:
     return f.eval(point)
 
 
-@lru_cache(maxsize=None)
-def monomial_shift_indices(n: int, exps: tuple[int, ...], d: int) -> np.ndarray:
-    """For the monomial mu with the given exponents, the index array sending
-    each degree-(d - |mu|) basis position to the position of its product
-    with mu in degree d."""
-    dm = d - sum(exps)
-    if dm < 0:
-        raise DegreeMismatch("target degree below monomial degree")
-    src = monomial_basis(n, dm).exponents
-    idx = _exponent_index(n, d)
-    return np.array([idx[tuple(a + b for a, b in zip(e, exps))] for e in src],
-                    dtype=np.int64)
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def product_table(n: int, a: int, b: int) -> np.ndarray:
+    """Entry [i, j] is the degree-(a + b) basis position of the product of
+    monomial i of degree a and monomial j of degree b.
+
+    Distinct monomials times one fixed monomial stay distinct, so every
+    row and every column of the table holds distinct positions.
+    """
+    idx = _exponent_index(n, a + b)
+    right = monomial_basis(n, b).exponents
+    t = np.array([[idx[tuple(x + y for x, y in zip(u, v))] for v in right]
+                  for u in monomial_basis(n, a).exponents], dtype=np.int64)
+    t.setflags(write=False)
+    return t
 
 
 def mult_map(f: GradedPoly, d: int) -> DenseMatrix:
@@ -257,66 +246,106 @@ def mult_map(f: GradedPoly, d: int) -> DenseMatrix:
     """
     if d < f.degree:
         raise DegreeMismatch(f"target degree {d} below deg(f)={f.degree}")
-    n = f.n
-    src = monomial_basis(n, d - f.degree)
-    tgt = monomial_basis(n, d)
-    out = np.zeros((tgt.size, src.size), dtype=np.int64)
-    p = f.ctx.p
-    for i in np.nonzero(f.coeffs)[0]:
-        rows = monomial_shift_indices(n, f.basis.exponents[i], d)
-        out[rows, np.arange(src.size)] = (out[rows, np.arange(src.size)]
-                                          + int(f.coeffs[i])) % p
+    table = product_table(f.n, f.degree, d - f.degree)
+    out = np.zeros((monomial_basis(f.n, d).size, table.shape[1]), dtype=np.int64)
+    # within a column the rows of the table are distinct, so no entry is
+    # written twice
+    out[table, np.arange(table.shape[1])] = f.coeffs[:, None]
     return DenseMatrix(f.ctx, out)
+
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _product_scatter(n: int, a: int, b: int) -> np.ndarray:
+    """0/1 matrix sending the flattened pairwise coefficient products of a
+    degree-a and a degree-b form to the coefficients of their product."""
+    table = product_table(n, a, b)
+    s = np.zeros((table.size, monomial_basis(n, a + b).size), dtype=np.int64)
+    s[np.arange(table.size), table.reshape(-1)] = 1
+    s.setflags(write=False)
+    return s
+
+
+def _row_products(n: int, a: int, b: int, f: np.ndarray, g: np.ndarray,
+                  p: int) -> np.ndarray:
+    """Row-wise products of N degree-a forms f (N x size a) with N
+    degree-b forms g (N x size b), as an N x size(a + b) array mod p.
+
+    The pairwise coefficient products are reduced first and then summed
+    into their monomials by a 0/1 scatter matrix.  An output entry sums
+    at most min(size a, size b) residues, so it stays exact in int64 for
+    every p < 2**31.
+    """
+    pairs = f[:, :, None] * g[:, None, :] % p
+    return pairs.reshape(len(f), -1) @ _product_scatter(n, a, b) % p
 
 
 def _det_degree_consistent(degrees: list[list[int]]) -> bool:
     # det is homogeneous iff deg[i][j] decomposes as row + column degrees,
     # equivalently all 2x2 cross sums agree.
-    k = len(degrees)
-    for i in range(1, k):
-        for j in range(1, k):
+    for i in range(1, len(degrees)):
+        for j in range(1, len(degrees[0])):
             if degrees[i][j] + degrees[0][0] != degrees[i][0] + degrees[0][j]:
                 return False
     return True
 
 
-def det_poly(entries: list[list[GradedPoly]]) -> GradedPoly:
-    """Determinant of a square array of forms by cofactor expansion.
+def maximal_minors(entries: list[list[GradedPoly]]) -> dict[tuple[int, ...], GradedPoly]:
+    """The k x k minors of a k x m array of forms (k <= m), keyed by their
+    column subset in combinations() order.
 
     Entry degrees must split into row plus column degrees so every
-    permutation product lands in one degree.
+    permutation product lands in one degree.  The minors of the bottom r
+    rows are computed for every column subset at once, one level r at a
+    time, each by expanding along its top row: a level costs one batched
+    product per (entry degree, minor degree) pair, and no minor is
+    expanded twice.
     """
-    k = len(entries)
-    if any(len(row) != k for row in entries):
-        raise ValueError("determinant needs a square array")
+    k, m = len(entries), (len(entries[0]) if entries else 0)
+    if not 0 < k <= m or any(len(row) != m for row in entries):
+        raise ValueError("need a k x m array of forms with 0 < k <= m")
     ctx = entries[0][0].ctx
     n = entries[0][0].n
+    p = ctx.p
     degs = [[e.degree for e in row] for row in entries]
     if not _det_degree_consistent(degs):
         raise InhomogeneousDeterminant(f"entry degrees {degs} are not consistent")
-    total = sum(degs[i][0] for i in range(k)) + sum(degs[0][j] - degs[0][0] for j in range(1, k))
+    col = [degs[0][j] - degs[0][0] for j in range(m)]
 
-    def rec(rows: tuple[int, ...], cols: tuple[int, ...]):
-        if len(rows) == 1:
-            e = entries[rows[0]][cols[0]]
-            return None if e.is_zero() else e
-        i = rows[0]
-        acc = None
-        for t, j in enumerate(cols):
-            e = entries[i][j]
-            if e.is_zero():
-                continue
-            minor = rec(rows[1:], cols[:t] + cols[t + 1:])
-            if minor is None:
-                continue
-            term = e * minor
-            if t % 2 == 1:
-                term = term.scale(-1)
-            acc = term if acc is None else acc + term
-        return acc
+    def degree(top: int, cols: tuple[int, ...]) -> int:
+        """Degree of the minor on rows top..k-1 and the given columns."""
+        return sum(degs[r][0] for r in range(top, k)) + sum(col[c] for c in cols)
 
-    out = rec(tuple(range(k)), tuple(range(k)))
-    return GradedPoly.zero(ctx, n, total) if out is None else out
+    # column subset -> minor of the bottom rows on those columns
+    minors = {(j,): entries[k - 1][j].coeffs for j in range(m)}
+    for i in range(k - 2, -1, -1):
+        subsets = list(combinations(range(m), k - i))
+        # (entry degree, minor degree) -> [(subset, odd position, entry, minor)]
+        groups: dict[tuple[int, int], list] = {}
+        for s, cols in enumerate(subsets):
+            for t, j in enumerate(cols):
+                rest = cols[:t] + cols[t + 1:]
+                groups.setdefault((degs[i][j], degree(i + 1, rest)), []).append(
+                    (s, t % 2, entries[i][j].coeffs, minors[rest]))
+        acc: dict[int, np.ndarray] = {}
+        for (a, b), terms in groups.items():
+            target, odd, f, g = zip(*terms)
+            prod = _row_products(n, a, b, np.array(f), np.array(g), p)
+            # signed incidence of terms in subsets: sums at most k residues
+            signs = np.zeros((len(subsets), len(terms)), dtype=np.int64)
+            signs[target, np.arange(len(terms))] = np.where(odd, -1, 1)
+            acc[a + b] = acc.get(a + b, 0) + signs @ prod
+        acc = {d: v % p for d, v in acc.items()}
+        minors = {cols: acc[degree(i, cols)][s] for s, cols in enumerate(subsets)}
+    return {cols: GradedPoly(ctx, monomial_basis(n, degree(0, cols)), v)
+            for cols, v in minors.items()}
+
+
+def det_poly(entries: list[list[GradedPoly]]) -> GradedPoly:
+    """Determinant of a square array of forms (see maximal_minors)."""
+    k = len(entries)
+    if any(len(row) != k for row in entries):
+        raise ValueError("determinant needs a square array")
+    return maximal_minors(entries)[tuple(range(k))]
 
 
 class ParamPoly:

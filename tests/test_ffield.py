@@ -3,9 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waringcert import DenseMatrix, PrimeContext, is_prime
+from waringcert import (
+    DenseMatrix,
+    GradedPoly,
+    Instance,
+    PointSet,
+    PrimeContext,
+    is_prime,
+    monomial_basis,
+)
 from waringcert.errors import InconsistentSystem, NotPrime
-from waringcert.ffield import matmul_mod, normalize_projective, rank_mod, row_echelon
+from waringcert.ffield import (
+    kernel_mod,
+    matmul_mod,
+    normalize_projective,
+    rank_mod,
+    row_echelon,
+    solve_mod,
+)
 
 PRIMES = (5, 101, 31991, 2147483629)
 
@@ -229,3 +244,117 @@ def test_stacked_rank_does_not_modify_input():
 def test_rank_mod_rejects_other_dimensions():
     with pytest.raises(ValueError):
         rank_mod(np.zeros((2, 2, 2, 2), dtype=np.int64), 5)
+
+
+# ------------------------------------- echelon, kernel and solve against oracles
+
+def oracle_rref(rows, p: int):
+    """(reduced echelon rows, pivot columns) by Gauss-Jordan elimination on
+    plain Python ints, taking the first nonzero entry as pivot."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for j in range(len(rows)):
+            if j != r and rows[j][c]:
+                f = rows[j][c]
+                rows[j] = [(x - f * y) % p for x, y in zip(rows[j], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def oracle_kernel(rows, n: int, p: int):
+    """The canonical kernel basis: one vector per free column, free
+    coordinate 1, pivot coordinates the negated reduced entries."""
+    rref, pivots = oracle_rref(rows, p)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[free] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -rref[i][free] % p
+        basis.append(v)
+    return basis
+
+
+shaped = st.tuples(st.sampled_from(STACK_PRIMES), st.integers(1, 7),
+                   st.integers(1, 7), st.integers(0, 2**32))
+
+
+@given(shaped)
+@settings(max_examples=60)
+def test_row_echelon_and_kernel_match_oracle(params):
+    p, m, n, seed = params
+    for a in mixed_stack(np.random.default_rng(seed), p, 4, m, n):
+        rref, pivots = oracle_rref(a.tolist(), p)
+        r, piv = row_echelon(a, p)
+        assert r.tolist() == rref and piv == pivots
+        kern = kernel_mod(a, p)
+        assert [v.tolist() for v in kern] == oracle_kernel(a.tolist(), n, p)
+        for v in kern:
+            assert all(sum(int(x) * int(y) for x, y in zip(row, v)) % p == 0 for row in a)
+
+
+@given(shaped)
+@settings(max_examples=60)
+def test_solve_mod_matches_oracle(params):
+    p, m, n, seed = params
+    rng = np.random.default_rng(seed)
+    for a in mixed_stack(rng, p, 4, m, n):
+        x0 = rng.integers(0, p, size=n)
+        for b in (matmul_mod(a, x0[:, None], p)[:, 0], rng.integers(0, p, size=m)):
+            rref, pivots = oracle_rref([row + [int(y)] for row, y in zip(a.tolist(), b)], p)
+            if pivots and pivots[-1] == n:
+                with pytest.raises(InconsistentSystem):
+                    solve_mod(a, b, p)
+                continue
+            x, null_dim = solve_mod(a, b, p)
+            expect = [0] * n
+            for i, c in enumerate(pivots):
+                expect[c] = rref[i][n]
+            assert x.tolist() == expect and null_dim == n - len(pivots)
+
+
+@given(shaped, st.booleans())
+@settings(max_examples=60)
+def test_memoised_rank_and_kernel_equal_fresh(params, rank_first):
+    p, m, n, seed = params
+    ctx = PrimeContext(p)
+    for a in mixed_stack(np.random.default_rng(seed), p, 4, m, n):
+        rank, kern = rank_mod(a, p), [v.tolist() for v in kernel_mod(a, p)]
+        mat = DenseMatrix(ctx, a)
+        calls = ("rank", "kernel", "rank", "kernel") if rank_first else \
+                ("kernel", "rank", "kernel", "rank")
+        for call in calls:
+            if call == "rank":
+                assert mat.rank() == rank
+            else:
+                got = mat.kernel_basis()
+                assert [v.tolist() for v in got] == kern
+                for v in got:
+                    v[:] = 0  # the caller's copy; the cached form is untouched
+        r, piv = mat.rref()
+        assert (r.a.tolist(), list(piv)) == oracle_rref(a.tolist(), p)
+
+
+@pytest.mark.parametrize("big", [10**30, -10**30, 2**64])
+def test_integers_beyond_int64_are_reduced(big):
+    p = 31991
+    ctx = PrimeContext(p)
+    m = DenseMatrix(ctx, [[1, big], [big, 2]])
+    assert m.a.tolist() == [[1, big % p], [big % p, 2]]
+    f = GradedPoly(ctx, monomial_basis(2, 1), [big, 0, 1])
+    assert f.coeffs.tolist() == [big % p, 0, 1]
+    inst = Instance(PointSet(ctx, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 2, [1, 2, big])
+    assert inst.lam.tolist() == [1, 2, big % p]
+
+
+def test_non_integers_beyond_int64_are_refused():
+    with pytest.raises(TypeError):
+        DenseMatrix(PrimeContext(101), [[1.5, 2**64]])

@@ -9,6 +9,8 @@ from waringcert import (
     certify_octic14,
     check_preconditions,
     evaluation_matrix,
+    gen_identifiable,
+    gen_unidentifiable,
     hilbert_burch,
     mult_map,
     normalization_check,
@@ -23,8 +25,14 @@ from waringcert.errors import (
     QuarticNotUnique,
     WitnessRejected,
 )
-from waringcert.ffield import matmul_mod, rank_mod
-from waringcert.octic14 import system_rows_full
+from waringcert.ffield import matmul_mod, rank_mod, row_echelon
+from waringcert.octic14 import (
+    N_PARAMS,
+    SELECTION_RETRIES,
+    _instance_seed,
+    _proportionality,
+    system_rows_full,
+)
 from waringcert.polys import GradedPoly, det_poly, monomial_basis
 
 from conftest import random_pointset
@@ -365,3 +373,81 @@ def test_certify_rejects_wrong_shape(ctx):
     ps = random_pointset(ctx, rng, 9, n=2)
     with pytest.raises(ValueError):
         certify_octic14(Instance(ps, 8, [1] * 9))
+
+
+# ------------------------------- shortcuts against the direct constructions
+
+@pytest.fixture(scope="module")
+def octic_instances(t1, t2):
+    out = [("T1", t1), ("T2", t2)]
+    for seed in range(8):
+        out.append((f"id-{seed}", gen_identifiable(seed).instance))
+        out.append((f"un-{seed}", gen_unidentifiable(seed).instance))
+    return out
+
+
+def greedy_quintics(A, Q):
+    """Each canonical degree-5 kernel vector that raises the rank of the
+    quartic multiples plus the vectors kept so far, up to four."""
+    p = A.ctx.p
+    rows = list(mult_map(Q, 5).a.T)
+    r = rank_mod(np.array(rows), p)
+    kept = []
+    for v in evaluation_matrix(A, 5).kernel_basis():
+        if rank_mod(np.array(rows + [v]), p) > r:
+            rows.append(v)
+            kept.append(v.tolist())
+            r += 1
+        if len(kept) == 4:
+            break
+    return kept
+
+
+def cubic_multiples(fam, avec):
+    """45 x 40: each specialized minor times each cubic monomial, placed
+    monomial by monomial."""
+    b3, b5, b8 = (monomial_basis(2, d) for d in (3, 5, 8))
+    cols = []
+    for pm in fam.param_minors:
+        spec = pm.specialize(avec).coeffs
+        for e in b3.exponents:
+            col = np.zeros(b8.size, dtype=np.int64)
+            for f, c in zip(b5.exponents, spec):
+                col[b8.index_of(tuple(x + y for x, y in zip(e, f)))] = c
+            cols.append(col)
+    return np.array(cols).T
+
+
+def stacked_selection(inst, fam):
+    """The paper13 choice read off the 45 x 71 stack of a basis of the
+    degree-8 ideal piece of A with the 40 candidates."""
+    p = inst.ctx.p
+    ia8 = np.array(evaluation_matrix(inst.pointset, 8).kernel_basis())
+    for attempt in range(SELECTION_RETRIES):
+        rng = np.random.default_rng(_instance_seed(inst, 0x13 + attempt))
+        avec = rng.integers(1, p, size=N_PARAMS, dtype=np.int64)
+        _, pivots = row_echelon(np.hstack([ia8.T, cubic_multiples(fam, avec)]), p)
+        chosen = [c - len(ia8) for c in pivots if c >= len(ia8)]
+        if len(pivots) == 44 and len(chosen) == 13:
+            return tuple(chosen), attempt
+    return None, None
+
+
+def test_octic14_shortcuts_match_direct_constructions(octic_instances):
+    for what, inst in octic_instances:
+        p = inst.ctx.p
+        hb = hilbert_burch(inst.pointset)
+        assert [q.coeffs.tolist() for q in hb.quintics] == \
+            greedy_quintics(inst.pointset, hb.Q), what
+        fam = residual_family(hb)
+        direct = det_poly([list(r) for r in fam.sm_lower])
+        assert fam.q_scale == _proportionality(direct, hb.Q, "not proportional"), what
+        b3, b5 = monomial_basis(2, 3), monomial_basis(2, 5)
+        t = {e: int(c) for e, c in zip(monomial_basis(2, 8).exponents, inst.coeff_vector)}
+        rows = [[sum(t[tuple(x + y for x, y in zip(e, f))] * int(pm.mat[i, a])
+                     for i, f in enumerate(b5.exponents)) % p for a in range(N_PARAMS)]
+                for pm in fam.param_minors for e in b3.exponents]
+        assert system_rows_full(inst, fam).tolist() == rows, what
+        report = second_decomposition_system(inst, fam, mode=PAPER13)
+        assert (report.selected_columns, report.selection_attempt) == \
+            stacked_selection(inst, fam), what

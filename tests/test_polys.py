@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from waringcert import (
     ParamPoly,
     PrimeContext,
     det_poly,
+    maximal_minors,
     monomial_basis,
     mult_map,
     poly_eval,
@@ -170,3 +173,115 @@ def test_param_poly_mul_commutes_with_specialize(ctx):
     prod = pp.mul_poly(cubic)
     a = rng.integers(0, ctx.p, size=12)
     assert prod.specialize(a) == cubic * pp.specialize(a)
+
+
+# ------------------------------------- products and determinants against oracles
+
+ORACLE_PRIMES = (3, 5, 101, 31991, 2**31 - 1)
+
+
+def as_terms(f):
+    """A form as {exponent tuple: nonzero int coefficient}."""
+    return {e: int(c) for e, c in zip(f.basis.exponents, f.coeffs) if c}
+
+
+def terms_mul(f, g, p):
+    """Product by the double loop over monomial pairs, in Python ints."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = (out.get(e, 0) + c1 * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def terms_det(m, p):
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = {}
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        for e, c in terms_mul(m[0][j], terms_det(minor, p), p).items():
+            total[e] = (total.get(e, 0) + (-1) ** j * c) % p
+    return {e: c for e, c in total.items() if c}
+
+
+def random_form(rng, ctx, n, d, zero_share=0.0):
+    b = monomial_basis(n, d)
+    if rng.random() < zero_share:
+        return GradedPoly.zero(ctx, n, d)
+    return GradedPoly(ctx, b, rng.integers(0, ctx.p, size=b.size))
+
+
+def random_array(rng, ctx, k, m, row_degs, col_degs, zero_share=0.0, zero_row=None):
+    return [[GradedPoly.zero(ctx, 2, row_degs[i] + col_degs[j]) if i == zero_row
+             else random_form(rng, ctx, 2, row_degs[i] + col_degs[j], zero_share)
+             for j in range(m)] for i in range(k)]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_det_poly_matches_cofactor_oracle(p, k):
+    ctx = PrimeContext(p)
+    rng = np.random.default_rng([p % 1000, k])
+    cases = [
+        ([1] * k, [0] * k, 0.0, None),                          # linear entries
+        ([int(x) for x in rng.integers(0, 3, size=k)],          # mixed degrees
+         [int(x) for x in rng.integers(0, 2, size=k)], 0.0, None),
+        ([1] * k, [int(x) for x in rng.integers(0, 2, size=k)], 0.4, None),
+        ([0] * k, [1] * k, 0.0, int(rng.integers(0, k))),       # a zero row
+    ]
+    for row_degs, col_degs, zero_share, zero_row in cases:
+        if k > 4 and max(row_degs) + max(col_degs) > 2:
+            row_degs = [min(r, 1) for r in row_degs]  # keep the oracle quick
+        entries = random_array(rng, ctx, k, k, row_degs, col_degs, zero_share, zero_row)
+        d = det_poly(entries)
+        assert d.degree == sum(row_degs) + sum(col_degs)
+        assert as_terms(d) == terms_det([[as_terms(e) for e in row] for row in entries], p)
+        if zero_row is not None:
+            assert d.is_zero()
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_maximal_minors_are_the_column_subset_determinants(p):
+    ctx = PrimeContext(p)
+    rng = np.random.default_rng(p % 997)
+    entries = random_array(rng, ctx, 3, 5, [1, 0, 2], [0, 1, 0, 1, 1])
+    minors = maximal_minors(entries)
+    assert list(minors) == list(combinations(range(5), 3))
+    for cols, minor in minors.items():
+        assert minor == det_poly([[row[c] for c in cols] for row in entries])
+
+
+def test_det_poly_inhomogeneous_and_shape_errors(ctx):
+    rng = np.random.default_rng(12)
+    for k in (2, 3, 4):
+        entries = random_array(rng, ctx, k, k, [1] * k, [0] * k)
+        entries[k - 1][k - 1] = random_form(rng, ctx, 2, 2)
+        with pytest.raises(InhomogeneousDeterminant):
+            det_poly(entries)
+    with pytest.raises(ValueError):
+        det_poly(random_array(rng, ctx, 2, 3, [1, 1], [0, 0, 0]))
+    with pytest.raises(ValueError):
+        maximal_minors(random_array(rng, ctx, 3, 2, [1, 1, 1], [0, 0]))
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_and_mult_map_match_double_loop(p, n):
+    ctx = PrimeContext(p)
+    rng = np.random.default_rng([p % 1000, n])
+    for a, b in ((0, 2), (1, 1), (2, 3), (3, 2), (4, 4)):
+        f = random_form(rng, ctx, n, a)
+        g = random_form(rng, ctx, n, b)
+        expect = terms_mul(as_terms(f), as_terms(g), p)
+        prod = f * g
+        assert prod.degree == a + b and as_terms(prod) == expect
+        m = mult_map(f, a + b)
+        via_map = [sum(int(x) * int(y) for x, y in zip(row, g.coeffs)) % p for row in m.a]
+        assert via_map == prod.coeffs.tolist()
+        # column j of the map is f times monomial j of the source degree
+        for j, e in enumerate(monomial_basis(n, b).exponents):
+            column = GradedPoly(ctx, monomial_basis(n, a + b), m.a[:, j])
+            assert as_terms(column) == terms_mul(as_terms(f), {e: 1}, p)

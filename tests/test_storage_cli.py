@@ -85,6 +85,21 @@ def test_parse_rejects_oversized_evaluation_quickly(n, degree):
     assert "evaluation entries" in str(err.value)
 
 
+def test_parsed_instance_starts_without_cached_ranks():
+    # ranks and echelon forms are memoised per point set, so a new parse
+    # must not inherit any from an earlier one
+    from waringcert.driver import run_criteria
+
+    text = (FIXTURES / "optics_T1.json").read_text()
+    first, _ = parse_instance(text)
+    run_criteria(first, "all")
+    assert any(m._rank is not None for m in first.pointset._ev_cache.values())
+    inst, _ = parse_instance(text)
+    cached = list(inst.pointset._ev_cache.values())
+    assert cached
+    assert all(m._rank is None and m._echelon is None for m in cached)
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda o: o.pop("points"), "missing field 'points'"),
     (lambda o: o.__setitem__("prime", 32000), "not prime"),
