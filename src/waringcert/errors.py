@@ -95,10 +95,6 @@ class GenerationExhausted(WaringError):
     """An instance generator ran out of its attempt budget."""
 
 
-class AnnihilatorDimension(WaringError):
-    """The annihilator of the ideal sum is not one-dimensional."""
-
-
 class ScanBudgetExceeded(WaringError):
     """The projective-plane scan was refused because the field is too large."""
 

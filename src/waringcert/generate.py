@@ -7,11 +7,13 @@ random coefficient choice misses it except with probability on the order
 of 1/p^2.
 
 Unidentifiable instances are built backwards from the residual family:
-pick parameters a, assemble the degree-8 ideal piece of the family
-member B(a), intersect annihilators to find the one form T orthogonal
-to both ideals, and solve for its coefficients on the original points.
-Every gate (ideal dimensions 31 and 44, one-dimensional annihilator,
-nonzero coefficients) is re-verified on the emitted instance.
+pick parameters a and assemble the degree-8 ideal piece of the family
+member B(a).  A form orthogonal to I_A(8) is lam * ev(A, 8) for a
+unique lam, so the one form T orthogonal to both ideals is read off the
+left kernel of the 14 x 31 matrix ev(A, 8) * basis(I_B(8))^T: the ideal
+sum has dimension 44 iff that matrix has rank 13, and its kernel vector
+is the coefficient vector.  Every gate (ideal dimensions 31 and 44,
+nonzero coefficients) is checked before an instance is emitted.
 
 The residual points of such an instance are rarely rational, so an
 alternative construction (rational_residual=True, small fields only)
@@ -20,7 +22,11 @@ curve: eleven random rational curve points force a unique residual
 septic, and the construction is kept only when the septic cuts the
 curve in exactly three further rational points.  The resulting unions
 are honest complete intersections with all 28 points visible, which is
-what the Hilbert-table and Cayley-Bacharach test suites need.
+what the Hilbert-table and Cayley-Bacharach test suites need.  The
+septic search works modulo the quartic multiples: on the curve every
+septic through A is a combination of twelve fixed septics, so each try
+is an 11 x 12 kernel, and forms are evaluated on the whole plane by a
+separable product (plane_values).
 """
 
 from __future__ import annotations
@@ -31,10 +37,8 @@ import numpy as np
 
 from .criteria import Instance
 from .errors import (
-    AnnihilatorDimension,
     DuplicatePoint,
     GenerationExhausted,
-    InconsistentSystem,
     ScanBudgetExceeded,
     WaringError,
     ZeroPoint,
@@ -45,9 +49,7 @@ from .ffield import (
     kernel_mod,
     matmul_mod,
     normalize_projective,
-    rank_mod,
     row_echelon,
-    solve_mod,
 )
 from .octic14 import (
     ResidualFamily,
@@ -61,7 +63,7 @@ from .points import (
     evaluation_matrix,
     kruskal_rank_at_least,
 )
-from .polys import GradedPoly, monomial_basis, mult_map, _veronese_rows
+from .polys import GradedPoly, mult_map, _veronese_rows
 
 EXPECTED_IDENTIFIABLE = "expected_identifiable"
 KNOWN_UNIDENTIFIABLE = "known_unidentifiable"
@@ -134,43 +136,35 @@ def gen_identifiable(seed: int, prime: int = DEFAULT_PRIME,
     )
 
 
-def _annihilator(rows: np.ndarray, p: int) -> np.ndarray:
-    kern = kernel_mod(rows, p)
-    if len(kern) != 1:
-        raise AnnihilatorDimension(
-            f"annihilator of the ideal sum has dimension {len(kern)}, expected 1"
-        )
-    return normalize_projective(kern[0], p)
-
-
-def _emit_unidentifiable(ps: PointSet, ia8: np.ndarray, gens8: np.ndarray,
-                         seed: int, attempts: int,
+def _emit_unidentifiable(ps: PointSet, gens8: np.ndarray, seed: int, attempts: int,
                          witness_extra: dict) -> GeneratedInstance | None:
-    """Shared tail of both constructions: annihilator, coefficients, gates.
+    """Shared tail of both constructions: the form, its coefficients, gates.
 
-    Returns None when a gate fails so the caller can resample.
+    T is orthogonal to I_A(8) = ker ev(A, 8) iff T = lam * ev(A, 8), and
+    then to the residual octics iff lam * ev(A, 8) * basis^T = 0.  The
+    ideal sum has dimension (45 - 14) + rank of that 14 x 31 matrix, so
+    it is 44 iff the left kernel is one lam.  Returns None when a gate
+    fails so the caller can resample.
     """
     p = ps.ctx.p
-    if rank_mod(gens8, p) != 31:
+    rref, pivots = row_echelon(gens8, p)
+    if len(pivots) != 31:
         return None
-    stacked = np.vstack([ia8, gens8])
-    if rank_mod(stacked, p) != 44:
+    ev8 = evaluation_matrix(ps, 8).a
+    kern = kernel_mod(matmul_mod(ev8, rref[:31].T, p).T, p)
+    if len(kern) != 1:
         return None
-    t = _annihilator(stacked, p)
-    v_a = evaluation_matrix(ps, 8).a.T  # 45 x 14
-    try:
-        lam, null_dim = solve_mod(v_a, t, p)
-    except InconsistentSystem:
-        return None
-    if null_dim != 0 or np.any(lam == 0):
+    t = matmul_mod(kern[0], ev8, p)
+    # scale lam so the first nonzero coefficient of T is 1
+    lam = kern[0] * pow(int(t[np.flatnonzero(t)[0]]), p - 2, p) % p
+    if np.any(lam == 0):
         return None
     inst = Instance(ps, 8, lam)
-    if not np.array_equal(inst.coeff_vector, t):
-        raise RuntimeError("emitted coefficients do not reproduce the annihilator")
-    rref, pivots = row_echelon(gens8, p)
+    if not np.array_equal(inst.coeff_vector, normalize_projective(t, p)):
+        raise RuntimeError("emitted coefficients do not reproduce the orthogonal form")
     witness = {
         "residual_octics_rank": 31,
-        "residual_octics_basis": rref[: len(pivots)],
+        "residual_octics_basis": rref[:31],
         "ideal_sum_rank": 44,
         **witness_extra,
     }
@@ -212,7 +206,6 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
             continue
         if fam is None:
             continue
-        ia8 = np.array(evaluation_matrix(ps, 8).kernel_basis())
         for _inner in range(50):
             attempts += 1
             avec = rng_a.integers(0, prime, size=12, dtype=np.int64)
@@ -220,7 +213,7 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
                 continue
             gens8 = residual_octic_generators(fam, avec)
             out = _emit_unidentifiable(
-                ps, ia8, gens8, seed, attempts,
+                ps, gens8, seed, attempts,
                 {"a": [int(x) for x in avec], "residual_points": None},
             )
             if out is not None:
@@ -236,30 +229,44 @@ def _family_or_none(ps: PointSet) -> ResidualFamily | None:
     return residual_family(hb)
 
 
-def plane_points(p: int) -> np.ndarray:
+def plane_points(p: int, at=None) -> np.ndarray:
     """All p*p + p + 1 points of the projective plane, one canonical
-    representative each, in the fixed chart order (1,y,z), (0,1,z), (0,0,1)."""
-    ys, zs = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
-    chart2 = np.column_stack([
-        np.ones(p * p, dtype=np.int64), ys.reshape(-1), zs.reshape(-1)])
-    chart1 = np.column_stack([
-        np.zeros(p, dtype=np.int64), np.ones(p, dtype=np.int64), np.arange(p)])
-    chart0 = np.array([[0, 0, 1]], dtype=np.int64)
-    return np.vstack([chart2, chart1, chart0])
+    representative each, in the fixed chart order (1,y,z), (0,1,z), (0,0,1);
+    or only the points at the positions `at` of that order."""
+    idx = np.arange(p * p + p + 1) if at is None else np.asarray(at, dtype=np.int64)
+    # position y*p + z of chart (1,y,z); chart (0,1,z) reads as y = p and
+    # the point (0,0,1) as y = p + 1, z = 0
+    y, z = np.divmod(idx, p)
+    return np.column_stack([y < p, np.where(y < p, y, y == p),
+                            np.where(y <= p, z, 1)]).astype(np.int64)
 
 
-_SCAN_CHUNK = 1 << 17
+def plane_values(f: GradedPoly) -> np.ndarray:
+    """f at every point of plane_points(p), in that order.
+
+    On the chart (1, y, z) the values are V C V^T, with V the p x (d+1)
+    Vandermonde of powers and C[b, c] the coefficient of x^(d-b-c) y^b z^c;
+    the chart (0, 1, z) reads the antidiagonal of C and (0, 0, 1) its
+    corner C[0, d].
+    """
+    if f.n != 2:
+        raise ValueError(f"plane_values needs a ternary form, got n = {f.n}")
+    p, d = f.ctx.p, f.degree
+    exps = np.array(f.basis.exponents)
+    C = np.zeros((d + 1, d + 1), dtype=np.int64)
+    C[exps[:, 1], exps[:, 2]] = f.coeffs
+    V = np.ones((p, d + 1), dtype=np.int64)
+    for k in range(1, d + 1):
+        V[:, k] = V[:, k - 1] * np.arange(p) % p
+    return np.concatenate([
+        matmul_mod(matmul_mod(V, C, p), V.T, p).reshape(-1),
+        matmul_mod(V, C[d - np.arange(d + 1), np.arange(d + 1)], p),
+        C[0, d:]])
 
 
-def _poly_zero_mask(f: GradedPoly, pts: np.ndarray) -> np.ndarray:
-    """Where f vanishes, evaluated in chunks to bound the scan's memory."""
-    out = np.empty(pts.shape[0], dtype=bool)
-    for start in range(0, pts.shape[0], _SCAN_CHUNK):
-        block = pts[start:start + _SCAN_CHUNK]
-        rows = _veronese_rows(f.ctx, block, f.degree)
-        vals = matmul_mod(rows, f.coeffs[:, None], f.ctx.p)[:, 0]
-        out[start:start + _SCAN_CHUNK] = vals == 0
-    return out
+def plane_zeros(f: GradedPoly) -> np.ndarray:
+    """The points of plane_points(p) where f vanishes, in that order."""
+    return plane_points(f.ctx.p, np.flatnonzero(plane_values(f) == 0))
 
 
 def recover_residual_points(Q: GradedPoly, quintics, A: PointSet,
@@ -267,9 +274,9 @@ def recover_residual_points(Q: GradedPoly, quintics, A: PointSet,
                             scan_limit: int = SCAN_LIMIT) -> list[tuple[int, int, int]]:
     """Best-effort scan for the rational points of the second decomposition.
 
-    Enumerates the whole projective plane, keeps the common zeros of the
-    quartic and all four quintics, and drops the points of A.  May
-    return fewer than `expected` points: residual points need not be
+    Evaluates the quartic on the whole projective plane, keeps the common
+    zeros of the quartic and all four quintics, and drops the points of A.
+    May return fewer than `expected` points: residual points need not be
     rational, and the count found is reported, never padded.
     """
     p = Q.ctx.p
@@ -278,14 +285,9 @@ def recover_residual_points(Q: GradedPoly, quintics, A: PointSet,
             f"p = {p} exceeds the scan guard {scan_limit}; raise scan_limit to force"
         )
     # restrict to the quartic curve first: ~p points instead of ~p^2
-    pts = plane_points(p)
-    curve = pts[_poly_zero_mask(Q, pts)]
-    mask = np.ones(curve.shape[0], dtype=bool)
+    hits = plane_zeros(Q)
     for q in quintics:
-        if not mask.any():
-            break
-        mask &= _poly_zero_mask(q, curve)
-    hits = curve[mask]
+        hits = hits[matmul_mod(_veronese_rows(q.ctx, hits, q.degree), q.coeffs, p) == 0]
     akeys = set(A.canonical_keys())
     found = [tuple(int(c) for c in row) for row in hits]
     return [pt for pt in found if pt not in akeys]
@@ -331,46 +333,38 @@ def _gen_unidentifiable_rational(seed: int, prime: int,
         if fam is None:
             continue
         Q = fam.base.Q
-        pts = plane_points(p)
-        on_curve = pts[_poly_zero_mask(Q, pts)]
+        on_curve = plane_zeros(Q)
         akeys = set(ps.canonical_keys())
-        candidates = [pt for pt in (tuple(int(c) for c in row) for row in on_curve)
-                      if pt not in akeys]
+        candidates = on_curve[np.array([tuple(int(c) for c in row) not in akeys
+                                        for row in on_curve], dtype=bool)]
         if len(candidates) < 14:
             continue
-        ia8 = np.array(evaluation_matrix(ps, 8).kernel_basis())
-        qs3 = list(mult_map(Q, 7).a.T)  # quartic multiples in degree 7
-        base_rank = rank_mod(np.array(qs3), p)
+        # I_A(7) splits as Q*S_3 plus twelve septics comp; Q*S_3 vanishes on
+        # the curve, so a septic through A and candidates F is Q*h + k*comp
+        # with E[F] k = 0, and the new septic is k*comp.
+        ker7 = evaluation_matrix(ps, 7).kernel_basis()
+        _, pivots = row_echelon(np.column_stack([mult_map(Q, 7).a] + ker7), p)
+        comp = np.array([ker7[c - 10] for c in pivots if c >= 10])
+        if len(comp) != 12:
+            raise RuntimeError(f"I_A(7) has {len(comp)} septics beyond Q*S_3, expected 12")
+        E = matmul_mod(_veronese_rows(ctx, candidates, 7), comp.T, p)
         for _inner in range(_RATIONAL_INNER_TRIES):
             attempts += 1
-            picked = rng.choice(len(candidates), size=11, replace=False)
-            forced = [candidates[i] for i in sorted(picked)]
-            septics = evaluation_matrix(
-                PointSet(ctx, list(ps.points) + forced), 7).kernel_basis()
-            if len(septics) != 11:
+            picked = np.sort(rng.choice(len(candidates), size=11, replace=False))
+            kern = kernel_mod(E[picked], p)
+            if len(kern) != 1:
                 continue
-            new_septic = None
-            for v in septics:
-                if rank_mod(np.array(qs3 + [v]), p) > base_rank:
-                    new_septic = v
-                    break
-            if new_septic is None:
-                continue
-            S = GradedPoly(ctx, monomial_basis(2, 7), new_septic)
-            rest = [pt for pt in candidates if pt not in set(forced)]
-            svals = matmul_mod(
-                _veronese_rows(ctx, np.array(rest, dtype=np.int64), 7),
-                S.coeffs[:, None], p)[:, 0]
-            extra = [rest[i] for i in np.nonzero(svals == 0)[0]]
+            rest = np.delete(np.arange(len(candidates)), picked)
+            extra = rest[matmul_mod(E[rest], kern[0], p) == 0]
             if len(extra) != 3:
                 continue
-            bset = PointSet(ctx, forced + extra)
+            bset = PointSet(ctx, candidates[np.concatenate([picked, extra])])
             gens8 = np.array(evaluation_matrix(bset, 8).kernel_basis())
             astar = _parameters_for_points(fam, bset)
             if astar is None:
                 continue
             out = _emit_unidentifiable(
-                ps, ia8, gens8, seed, attempts,
+                ps, gens8, seed, attempts,
                 {
                     "a": [int(x) for x in astar],
                     "residual_points": [list(pt) for pt in bset.points],

@@ -428,8 +428,10 @@ def verify_witness(inst: Instance, fam: ResidualFamily, astar) -> dict:
     if record["residual_dim_8"] != 31:
         raise WitnessRejected("residual_dim_8",
                               f"degree-8 piece has dimension {record['residual_dim_8']} != 31")
-    ia8 = np.array(evaluation_matrix(inst.pointset, 8).kernel_basis())
-    record["ideal_sum_dim_8"] = rank_mod(np.vstack([ia8, gens8]), p)
+    # dim(I_A(8) + span gens8) = dim ker ev(A, 8) + rank of ev(A, 8) on gens8
+    ev8 = evaluation_matrix(inst.pointset, 8)
+    record["ideal_sum_dim_8"] = (ev8.cols - ev8.rank()
+                                 + rank_mod(matmul_mod(ev8.a, gens8.T, p), p))
     if record["ideal_sum_dim_8"] != 44:
         raise WitnessRejected("ideal_sum_dim_8",
                               f"ideal sum has dimension {record['ideal_sum_dim_8']} != 44")

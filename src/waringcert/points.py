@@ -21,7 +21,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import DuplicatePoint, ZeroPoint
-from .ffield import DenseMatrix, PrimeContext, rank_mod, row_echelon
+from .ffield import DenseMatrix, PrimeContext, kernel_mod, rank_mod, row_echelon
 from .polys import _veronese_rows
 
 
@@ -162,10 +162,19 @@ def ideal_piece(Z: PointSet, d: int) -> list[np.ndarray]:
 
 
 def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
-    """h_Z and its first difference on 0..j_max, with h_Z(-1) = 0."""
+    """h_Z and its first difference on 0..j_max, with h_Z(-1) = 0.
+
+    Once h_Z(j) = ell(Z) it stays there, so higher degrees are not
+    ranked.  Over a small field every form of degree 1 may vanish on some
+    point of Z, but ranks do not change under field extension, where the
+    usual argument (multiply by a form missing Z) applies.
+    """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    values = [evaluation_matrix(Z, j).rank() for j in range(j_max + 1)]
+    values = []
+    for j in range(j_max + 1):
+        values.append(len(Z) if values and values[-1] == len(Z)
+                      else evaluation_matrix(Z, j).rank())
     diffs = [values[0]] + [values[j] - values[j - 1] for j in range(1, j_max + 1)]
     return HilbertProfile(tuple(values), tuple(diffs), len(Z))
 
@@ -332,19 +341,15 @@ def cb_check(Z: PointSet, d: int) -> bool:
     """Cayley-Bacharach in degree d: every degree-d form through all but
     one point also passes through the omitted point, whichever it is.
 
-    Equivalently the degree-d ideal piece does not grow when a point is
-    dropped: h_{Z minus P}(d) == h_Z(d) for every P.
+    Equivalently h_{Z minus P}(d) == h_Z(d) for every P, which holds iff
+    some linear dependency among the rows of ev(Z, d) involves P: so iff
+    no column of a basis of the left kernel is zero.
     """
     if len(Z) < 2:
         raise ValueError("Cayley-Bacharach needs at least two points")
-    full = evaluation_matrix(Z, d)
-    h = full.rank()
-    ell = len(Z)
-    if h == ell:
-        # independent rows lose rank whichever one is dropped
-        return False
-    keep = np.array([[j for j in range(ell) if j != i] for i in range(ell)])
-    return bool(np.all(rank_mod(full.a[keep], Z.ctx.p) == h))
+    deps = kernel_mod(evaluation_matrix(Z, d).a.T, Z.ctx.p)
+    # independent rows (h = ell) have no dependency and fail
+    return bool(deps) and bool(np.all(np.any(np.array(deps) != 0, axis=0)))
 
 
 def span_intersection_dim(A: PointSet, B: PointSet, d: int) -> int:

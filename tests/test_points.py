@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -122,6 +122,51 @@ def test_profile_elementary_invariants(ctx):
             )
             assert prof.values[-1] == count
             assert sum(prof.differences) == count
+
+
+def projective_space(p, n):
+    """Every point of P^n over Z_p, first nonzero coordinate 1."""
+    return np.array([pt for pt in product(range(p), repeat=n + 1)
+                     if any(pt) and pt[np.flatnonzero(pt)[0]] == 1])
+
+
+def random_subset(ctx, rng, count, n):
+    """count distinct points; drawn from all of P^n when p is small."""
+    space = projective_space(ctx.p, n) if ctx.p < 11 else None
+    if space is None or count > len(space):
+        return random_pointset(ctx, rng, count, n=n)
+    return PointSet(ctx, space[rng.choice(len(space), count, replace=False)])
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("p", (3, 5))
+def test_profile_saturation_matches_ranking_every_degree(p, n):
+    # Over Z_3 and Z_5 these sets meet every hyperplane, so no linear form
+    # misses them and the profile's shortcut after h = ell rests on field
+    # extension alone; it must agree with ranking each degree.
+    ctx = PrimeContext(p)
+    space = projective_space(p, n)
+    rng = np.random.default_rng(10 * p + n)
+    # a whole line meets every hyperplane and keeps Delta h at 1 for p degrees
+    on_line = np.flatnonzero(~space[:, 2:].any(axis=1))
+    off_line = np.setdiff1d(np.arange(len(space)), on_line)
+    checked = 0
+    for count in (3 * p, len(space) // 2, len(space) // 2, len(space), 0, 2, 4):
+        if count > 4:
+            coords = space[rng.choice(len(space), count, replace=False)]
+        else:
+            coords = space[np.concatenate([on_line, rng.choice(off_line, count, replace=False)])]
+            count += len(on_line)
+        # hyperplanes are indexed by the same canonical vectors
+        if not (coords @ space.T % p == 0).any(axis=0).all():
+            continue
+        j_max = 15
+        expect = tuple(rank_mod(evaluation_matrix(PointSet(ctx, coords), j).a, p)
+                       for j in range(j_max + 1))
+        assert expect[-1] == count
+        assert hilbert_profile(PointSet(ctx, coords), j_max).values == expect
+        checked += 1
+    assert checked >= 5
 
 
 # ---------------------------------------------------------------- kruskal rank
@@ -306,20 +351,31 @@ def test_pointset_duplicates_agree_with_minors():
 
 # ------------------------------------------------------------- cayley-bacharach
 
-def test_cb_check_matches_deletion_loop(ctx):
-    from waringcert.ffield import rank_mod
-
-    rng = np.random.default_rng(3)
-    sets = list(six_point_sets().values()) + [
-        conic_points(ctx, range(8)), line_points(ctx, range(7)),
-        random_pointset(ctx, rng, 9, n=2), random_pointset(ctx, rng, 12, n=3)]
-    for z in sets:
-        for d in range(1, 5):
-            full = evaluation_matrix(z, d).a
-            h = rank_mod(full, ctx.p)
-            expect = all(rank_mod(np.delete(full, i, axis=0), ctx.p) == h
-                         for i in range(len(z)))
-            assert cb_check(z, d) == expect
+def test_cb_check_matches_deletion_loop():
+    # the oracle drops each point in turn and re-ranks
+    outcomes, independent = set(), 0
+    for p in (3, 5, 7, 101, 31991):
+        ctx = PrimeContext(p)
+        rng = np.random.default_rng(3 + p)
+        sets = [
+            conic_points(ctx, range(min(p, 8))), line_points(ctx, range(min(p, 7))),
+            PointSet(ctx, [(1, 0, 0), (0, 1, 0)]),  # ell = 2
+            random_subset(ctx, rng, 2, 2), random_subset(ctx, rng, 9, 2),
+            random_subset(ctx, rng, 12, 3),
+        ]
+        if p == 31991:
+            sets += list(six_point_sets().values())
+        for z in sets:
+            for d in range(0, 5):
+                full = evaluation_matrix(z, d).a
+                h = rank_mod(full, p)
+                independent += h == len(z)
+                expect = all(rank_mod(np.delete(full, i, axis=0), p) == h
+                             for i in range(len(z)))
+                assert cb_check(z, d) == expect, (p, z.points, d)
+                outcomes.add(expect)
+    assert outcomes == {True, False}
+    assert independent  # h = ell occurs, where the property fails
 
 
 def test_cb_examples(ctx):
