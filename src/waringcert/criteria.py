@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadSplit, NotConcise, RedundancyDetected
 from .ffield import PrimeContext, as_residues, matmul_mod
-from .points import PointSet, evaluation_matrix, kruskal_rank, kruskal_rank_at_least
+from .points import PointSet, evaluation_matrix, kruskal_rank_at_least
 
 IDENTIFIABLE = "identifiable"
 COMPUTES_RANK = "computes_rank"
@@ -138,6 +138,10 @@ def reshaped_kruskal_certify(inst: Instance,
     are tried (most balanced first) and the first success wins.  A split
     whose bound is below ell(A) even with every k_{di} at its cap
     min(C(n+di, n), ell(A)) is skipped, and that cap bound recorded.
+    Otherwise the ranks are found in order, each by descending from its
+    cap to the floor f_i = 2*ell(A) + 2 - (the ranks already found) -
+    (the caps still to come); a rank below its floor ends the split with
+    evidence "<f_i" and the upper bound (2*ell(A) - 1)/2.
     """
     d = inst.degree
     if d < 3:
@@ -150,6 +154,7 @@ def reshaped_kruskal_certify(inst: Instance,
     ell = inst.length
     n = inst.pointset.n
     evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
+    found: dict[int, int] = {}  # degree -> exact Kruskal rank
     best = None
     for s in splits:
         name = "_".join(map(str, s))
@@ -159,13 +164,27 @@ def reshaped_kruskal_certify(inst: Instance,
             evidence.append((f"kruskal_cap_bound_{name}",
                              f"({'+'.join(map(str, caps))}-2)/2 = {bound}"))
         else:
-            ks = [kruskal_rank(inst.pointset, di) for di in s]
-            bound = Fraction(sum(ks) - 2, 2)
-            evidence.append((f"kruskal_bound_{name}",
-                             f"({'+'.join(map(str, ks))}-2)/2 = {bound}"))
-            if ell <= bound:
-                evidence.append(("certifying_split", f"{s[0]}+{s[1]}+{s[2]}"))
+            ks: list[int] = []
+            for i, di in enumerate(s):
+                floor = 2 * ell + 2 - sum(ks) - sum(caps[i + 1:])
+                k = found.get(di) or next(
+                    (k for k in range(caps[i], max(floor, 1) - 1, -1)
+                     if kruskal_rank_at_least(inst.pointset, di, k)), None)
+                if k is None or k < floor:
+                    break
+                found[di] = k
+                ks.append(k)
+            if len(ks) == 3:
+                # each rank met its floor, so the sum reaches 2*ell(A) + 2
+                bound = Fraction(sum(ks) - 2, 2)
+                evidence += [(f"kruskal_bound_{name}",
+                              f"({'+'.join(map(str, ks))}-2)/2 = {bound}"),
+                             ("certifying_split", f"{s[0]}+{s[1]}+{s[2]}")]
                 return Certificate(IDENTIFIABLE, rank=ell, evidence=tuple(evidence))
+            bound = Fraction(2 * ell - 1, 2)
+            terms = ks + [f"<{floor}"] + caps[len(ks) + 1:]
+            evidence.append((f"kruskal_bound_{name}",
+                             f"({'+'.join(map(str, terms))}-2)/2 < {ell}"))
         best = max(best, bound) if best is not None else bound
     return Certificate(
         INCONCLUSIVE,

@@ -92,8 +92,11 @@ def random_admissible_pointset(seed: int, prime: int = DEFAULT_PRIME,
     """Rejection-sample 14 plane points until all admissibility gates hold.
 
     Gates: pairwise distinct, h(4) = 14, independent degree-8 images,
-    third Kruskal rank 10.  Deterministic per (seed, prime); returns the
-    point set and the attempt count.
+    third Kruskal rank 10, and a residual family with normalization rank
+    12, the last hypotheses certify_octic14 puts on the points alone (a
+    set failing it would check as Degenerate whatever the coefficients).
+    Deterministic per (seed, prime); returns the point set and the
+    attempt count.
     """
     ctx = PrimeContext(prime)
     rng = _rng(seed, 0)
@@ -102,7 +105,7 @@ def random_admissible_pointset(seed: int, prime: int = DEFAULT_PRIME,
         if ps is None:
             continue
         # k_3 is capped at 10 by the plane cubics, so >= 10 means == 10
-        if not kruskal_rank_at_least(ps, 3, 10):
+        if not kruskal_rank_at_least(ps, 3, 10) or _family_or_none(ps) is None:
             continue
         return ps, attempt
     raise GenerationExhausted(f"no admissible point set in {budget} attempts")
@@ -200,10 +203,7 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
         ps = _sample_pointset(ctx, rng_pts)
         if ps is None or not kruskal_rank_at_least(ps, 3, 10):
             continue
-        try:
-            fam = _family_or_none(ps)
-        except WaringError:
-            continue
+        fam = _family_or_none(ps)
         if fam is None:
             continue
         for _inner in range(50):
@@ -222,11 +222,15 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
 
 
 def _family_or_none(ps: PointSet) -> ResidualFamily | None:
-    hb = hilbert_burch(ps)
-    _, crank = normalization_check(hb)
-    if crank != 12:
+    """The residual family of ps, or None where certify_octic14 would
+    stop at Hilbert-Burch, the normalization or the family."""
+    try:
+        hb = hilbert_burch(ps)
+        if normalization_check(hb)[1] != 12:
+            return None
+        return residual_family(hb)
+    except WaringError:
         return None
-    return residual_family(hb)
 
 
 def plane_points(p: int, at=None) -> np.ndarray:
@@ -324,12 +328,7 @@ def _gen_unidentifiable_rational(seed: int, prime: int,
     for _outer in range(budget):
         attempts += 1
         ps = _sample_pointset(ctx, rng)
-        if ps is None:
-            continue
-        try:
-            fam = _family_or_none(ps)
-        except WaringError:
-            continue
+        fam = None if ps is None else _family_or_none(ps)
         if fam is None:
             continue
         Q = fam.base.Q

@@ -4,8 +4,9 @@ The Hilbert function of a point set Z in degree j is the rank of the
 evaluation matrix whose rows are the degree-j monomial vectors of the
 points; its kernel is the degree-j piece of the ideal of Z.  On top of
 that single primitive this module computes first differences, the h^1
-defect ell(Z) - h_Z(d), Kruskal ranks by exhaustive subset enumeration,
-the Cayley-Bacharach predicate in a given degree, and dimensions of
+defect ell(Z) - h_Z(d), Kruskal ranks (at the column count by one sweep
+over maximal minors, below it by subset enumeration), the
+Cayley-Bacharach predicate in a given degree, and dimensions of
 intersections of Veronese spans.
 
 Two coordinate tuples are the same projective point iff their
@@ -16,12 +17,15 @@ projectively_equal decides the same by the 2x2 minors of the pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, islice
+from math import comb
 
 import numpy as np
 
 from .errors import DuplicatePoint, ZeroPoint
-from .ffield import DenseMatrix, PrimeContext, kernel_mod, rank_mod, row_echelon
+from .ffield import (DenseMatrix, PrimeContext, _kernel_from_echelon, kernel_mod,
+                     rank_mod, row_echelon)
 from .polys import _veronese_rows
 
 
@@ -191,50 +195,43 @@ def h1_defect(Z: PointSet, d: int) -> int:
 _SUBSET_CHUNK_ENTRIES = 2**13
 
 
-def _minor_test(mat: np.ndarray, p: int):
-    """Dependence test for the c-subsets of the rows of an ell x c matrix,
-    by the MDS criterion (MacWilliams & Sloane, ch. 11, Thm 8).
+# The k = columns sweep runs while its index tables hold at most this
+# many int64 entries (the minor count times the minor size); above it
+# the subsets are ranked in chunks like any other size.
+_SWEEP_ENTRIES = 2**16
 
-    With B the first basis among the rows (the pivots of the transposed
-    echelon form) and R the coordinates of the other rows in that basis,
-    a c-subset S is independent iff the square minor of R on rows
-    S minus B and columns B minus S is nonzero.  Returns a function
-    mapping an (N, c) array of sorted subsets to their dependence flags,
-    or None when rank < c and so every c-subset is dependent.
-    """
-    ell, c = mat.shape
-    rref, basis = row_echelon(mat.T, p)
-    if len(basis) < c:
-        return None
-    in_basis = np.zeros(ell, dtype=bool)
-    in_basis[basis] = True
-    rest = np.flatnonzero(~in_basis)
-    coords = rref[:, rest].T  # row i: rest[i] in the basis rows
-    position = np.empty(ell, dtype=np.int64)
-    position[basis] = np.arange(c)
-    position[rest] = np.arange(ell - c)
 
-    def dependent(subsets: np.ndarray) -> np.ndarray:
-        outside = ~in_basis[subsets]
-        sizes = outside.sum(axis=1)
-        flags = np.zeros(len(subsets), dtype=bool)
-        for s in range(1, int(sizes.max()) + 1):
-            members = np.flatnonzero(sizes == s)
-            if not members.size:
-                continue
-            sub, out = subsets[members], outside[members]
-            rows = position[sub[out]].reshape(-1, s)
-            kept = np.zeros((len(members), c), dtype=bool)
-            kept[np.nonzero(~out)[0], position[sub[~out]]] = True
-            cols = np.nonzero(~kept)[1].reshape(-1, s)
-            minors = coords[rows[:, :, None], cols[:, None, :]]
-            if s == 1:
-                flags[members] = minors[:, 0, 0] == 0
-            else:
-                flags[members] = rank_mod(minors, p) != s
-        return flags
+@lru_cache(maxsize=32)
+def _laplace_level(ell: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of level t of the minor sweep over ell columns: the
+    t-subsets in combinations() order, and for each subset and position s
+    the combinations() index of the subset without its s-th member."""
+    subs = np.array(list(combinations(range(ell), t)), dtype=np.int64).reshape(-1, t)
+    # lex index of a (t-1)-subset: C(ell, t-1) - 1 - the colex index of
+    # its mirror image ell - 1 - a, read in ascending order
+    binom = np.array([[comb(n, i) for i in range(1, t)] for n in range(ell)],
+                     dtype=np.int64).reshape(ell, t - 1)
+    below = np.empty_like(subs)
+    for s in range(t):
+        mirror = ell - 1 - np.delete(subs, s, axis=1)[:, ::-1]
+        below[:, s] = comb(ell, t - 1) - 1 - binom[mirror, np.arange(t - 1)].sum(axis=1)
+    subs.setflags(write=False)
+    below.setflags(write=False)
+    return subs, below
 
-    return dependent
+
+def _maximal_minors_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """The r x r minors of an r x ell matrix over Z_p, one per column
+    subset in combinations() order: the numeric twin of
+    polys.maximal_minors.  Level t holds the minors of the bottom t rows,
+    each expanded along its top row; the products are reduced before the
+    signed sum of at most r residues, so it is exact for every p < 2**31."""
+    minors = np.ones(1, dtype=np.int64)
+    for t in range(1, len(a) + 1):
+        subs, below = _laplace_level(a.shape[1], t)
+        prod = a[len(a) - t][subs] * minors[below] % p
+        minors = (prod[:, 0::2].sum(axis=1) - prod[:, 1::2].sum(axis=1)) % p
+    return minors
 
 
 def _first_dependent_subset(mat: np.ndarray, p: int, k: int):
@@ -242,28 +239,41 @@ def _first_dependent_subset(mat: np.ndarray, p: int, k: int):
 
     Subsets run in combinations() order; every subset is examined on
     success, and up to and including the first dependent one on failure.
-    At k = columns each subset is decided by one minor of size at most
-    min(rows - k, k) instead of a k x k rank.
+    At k = c columns all subsets are decided at once by one sweep over
+    maximal minors.  A c-subset S is independent iff the c x c minor of
+    the echelon form of mat^T on S is nonzero, and by matroid duality
+    (Oxley, section 2.2) iff the minor of a left-kernel basis K on the
+    complement of S is nonzero.  The sweep takes whichever of the two has
+    fewer rows; complementing reverses combinations() order, so the first
+    dependent S is the complement of the last zero minor of K.
     """
     ell, c = mat.shape
     if k == c:
-        dependent = _minor_test(mat, p)
-        if dependent is None:
+        rref, basis = row_echelon(mat.T, p)
+        if len(basis) < c:
             return 1, tuple(range(k))
-        entries = max(c, min(ell - c, c) ** 2)
-    else:
-        def dependent(subsets):
-            return rank_mod(mat[subsets], p) != k
-        entries = k * c
+        total = comb(ell, c)
+        if total * min(c, ell - c) <= _SWEEP_ENTRIES:
+            dual = 2 * c > ell
+            rows = (np.array(_kernel_from_echelon(rref, basis, p)).reshape(ell - c, ell)
+                    if dual else rref)
+            zero = np.flatnonzero(_maximal_minors_mod(rows, p) == 0)
+            if not zero.size:
+                return total, None
+            top = _laplace_level(ell, len(rows))[0]
+            if dual:
+                subset = np.setdiff1d(np.arange(ell), top[zero[-1]])
+                return total - int(zero[-1]), tuple(int(i) for i in subset)
+            return int(zero[0]) + 1, tuple(int(i) for i in top[zero[0]])
     subs = combinations(range(ell), k)
-    per_chunk = max(1, _SUBSET_CHUNK_ENTRIES // entries)
+    per_chunk = max(1, _SUBSET_CHUNK_ENTRIES // (k * c))
     examined = 0
     while True:
         chunk = np.fromiter(chain.from_iterable(islice(subs, per_chunk)),
                             dtype=np.int64).reshape(-1, k)
         if not chunk.size:
             return examined, None
-        hits = np.flatnonzero(dependent(chunk))
+        hits = np.flatnonzero(rank_mod(mat[chunk], p) != k)
         if hits.size:
             return examined + int(hits[0]) + 1, tuple(int(i) for i in chunk[hits[0]])
         examined += len(chunk)

@@ -1,4 +1,6 @@
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +103,72 @@ def test_range_stops_at_the_floor_on_a_collinear_tail(ctx):
     assert time.perf_counter() - t0 < 1.0
     assert cert.verdict == "inconclusive"
     assert cert.evidence_dict()["kruskal_5"] == "< 21"
+
+
+def test_reshaped_kruskal_stops_at_its_floors_on_a_collinear_tail(ctx):
+    # the same set through every criterion: each split that passes its
+    # caps ends at its first floor instead of descending to exact ranks
+    rng = np.random.default_rng(0)
+    pts = [tuple(int(c) for c in row) for row in rng.integers(1, ctx.p, size=(14, 3))]
+    pts += [(1, t, 0) for t in range(1, 9)]
+    inst = Instance(PointSet(ctx, pts), 12, rng.integers(1, ctx.p, size=22))
+    t0 = time.perf_counter()
+    final, results = run_criteria(inst)
+    assert time.perf_counter() - t0 < 1.0
+    assert final.verdict == "inconclusive"
+    cert = dict(results)["kruskal"]
+    ev = cert.evidence_dict()
+    assert ev["kruskal_bound_5_4_3"] == "(<21+15+10-2)/2 < 22"
+    assert ev["kruskal_bound_5_5_2"] == "(<19+21+6-2)/2 < 22"
+    assert ev["kruskal_bound_6_5_1"] == "(<22+21+3-2)/2 < 22"
+    assert cert.reason == "ell(A) = 22 exceeds every split bound (best 43/2)"
+
+
+def load_bench_oracle():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("d", (5, 6, 7, 8))
+def test_run_criteria_matches_the_plain_int_oracle_on_collinear_tails(ctx, d):
+    # the reshaped floors must not change a verdict: random plane sets,
+    # some with points on one line, against the benchmark's oracle
+    oracle = load_bench_oracle()
+    rng = np.random.default_rng(d)
+    floors_hit = 0
+    for ell in range(5, 14):
+        for tail in (0, 3, 5):
+            pts = [tuple(int(c) for c in row)
+                   for row in rng.integers(1, ctx.p, size=(ell - tail, 3))]
+            pts += [(1, int(t), 0) for t in rng.choice(ctx.p, size=tail, replace=False)]
+            expect = oracle.expected_verdict(oracle.PointFacts(pts, ctx.p), d)
+            if expect[0] == oracle.DEGENERATE:
+                continue
+            inst = Instance(PointSet(ctx, pts), d, rng.integers(1, ctx.p, size=ell))
+            final, results = run_criteria(inst)
+            assert (final.verdict, final.rank) == expect, (d, ell, tail)
+            kruskal = dict(results).get("kruskal")
+            floors_hit += kruskal is not None and any(
+                key.startswith("kruskal_bound_") and "<" in value
+                for key, value in kruskal.evidence)
+    assert floors_hit
+
+
+def test_reshaped_kruskal_descends_to_a_rank_below_its_cap(ctx):
+    # four collinear points: k_2 = 3 < 6 while k_3 stays at its cap
+    rng = np.random.default_rng(5)
+    line = [(1, t, 0) for t in (2, 3, 5, 7)]
+    for ell, expect in ((10, "(10+10+3-2)/2 = 21/2"), (11, "(10+10+<4-2)/2 < 11")):
+        pts = line + [tuple(int(c) for c in row)
+                      for row in rng.integers(1, ctx.p, size=(ell - 4, 3))]
+        inst = Instance(PointSet(ctx, pts), 8, rng.integers(1, ctx.p, size=ell))
+        cert = reshaped_kruskal_certify(inst, (3, 3, 2))
+        assert cert.evidence_dict()["kruskal_bound_3_3_2"] == expect
+        assert kruskal_rank(inst.pointset, 2) == 3
+        assert cert.verdict == ("identifiable" if ell == 10 else "inconclusive")
 
 
 def test_driver_skips_plane_criteria_in_p3(ctx):

@@ -15,6 +15,7 @@ from waringcert import (
     hilbert_burch,
     hilbert_profile,
     kruskal_rank,
+    normalization_check,
     poly_eval,
     random_admissible_pointset,
     recover_residual_points,
@@ -25,6 +26,8 @@ from waringcert.errors import ScanBudgetExceeded
 from waringcert.ffield import PrimeContext, matmul_mod, rank_mod
 from waringcert.generate import (
     KNOWN_UNIDENTIFIABLE,
+    _rng,
+    _sample_pointset,
     plane_points,
     plane_values,
     _parameters_for_points,
@@ -53,6 +56,20 @@ def test_gen_identifiable_roundtrip():
     g = gen_identifiable(11)
     assert certify_octic14(g.instance).display() == "IdentifiableOfRank(14)"
     assert not np.any(g.instance.lam == 0)
+
+
+def test_admissible_pointset_rejects_a_degenerate_normalization():
+    # the first draw of seed 24031 passes the Hilbert and Kruskal gates,
+    # but its normalization system has rank 11, so certify_octic14 would
+    # stop at Degenerate whatever the coefficients
+    rng = _rng(24031, 0)
+    first = _sample_pointset(PrimeContext(31991), rng)
+    fam_rank = normalization_check(hilbert_burch(first))[1]
+    assert kruskal_rank(first, 3) == 10 and fam_rank == 11
+    ps, attempts = random_admissible_pointset(24031)
+    assert attempts == 2 and ps.points != first.points
+    g = gen_identifiable(24031)
+    assert certify_octic14(g.instance).display() == "IdentifiableOfRank(14)"
 
 
 def test_gen_identifiable_deterministic():

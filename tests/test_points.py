@@ -302,35 +302,111 @@ def first_dependent_by_ranks(mat, p, k):
     return len(subsets), None
 
 
-@pytest.mark.parametrize("p", (5, 7, 13, 101, 31991))
-def test_kruskal_cap_by_minors_matches_subset_ranks(p):
-    # at k = columns each subset is decided by a minor of the coordinates
-    # in the first row basis; it must agree with ranking the subsets
-    # themselves on both outcomes, including where the failure falls
-    ctx = PrimeContext(p)
+def cap_cases(p):
+    """Plane point sets with ell = c ... c + 6 for the c = C(d+2, 2)
+    columns at d = 1, 2, 3: random, with a collinear tail, and at d = 3
+    (for p >= 13) with ten points planted on the cuspidal cubic
+    x^3 = y^2 z, so that some 10-subset is dependent."""
     rng = np.random.default_rng(1000 + p)
-    outcomes = set()
+    ctx = PrimeContext(p)
     for d in (1, 2, 3):
         c = (d + 1) * (d + 2) // 2
-        for extra in range(1, 7):
-            for tail in (0, 0, 3, 4):
+        plants = (0, 0, 3, 4) + ((10,) if d == 3 and p >= 13 else ())
+        for extra in range(7):
+            for plant in plants:
                 while True:
                     coords = rng.integers(0, p, size=(c + extra, 3))
-                    coords[len(coords) - tail:, 2] = 0
+                    if plant == 10:
+                        t = rng.choice(p, size=10, replace=False)
+                        coords[:10] = np.stack([t * t % p, t ** 3 % p, np.ones(10, int)], 1)
+                        coords = rng.permutation(coords)
+                    elif plant:
+                        coords[len(coords) - plant:, 2] = 0
                     try:
-                        z = PointSet(ctx, coords)
+                        yield d, c, PointSet(ctx, coords)
                         break
                     except (DuplicatePoint, ZeroPoint):
                         continue
-                mat = evaluation_matrix(z, d).a
-                examined, subset = first_dependent_by_ranks(mat, p, c)
-                outcomes.add(subset is None)
-                assert kruskal_rank_at_least(z, d, c) == (subset is None)
-                if subset is None:
-                    assert z._kruskal_cache == {d: (c, examined)}
-                else:
-                    assert kruskal_failure(z, d) == (c, examined, subset)
+
+
+def assert_cap_matches_subset_ranks(p):
+    outcomes = set()
+    for d, c, z in cap_cases(p):
+        mat = evaluation_matrix(z, d).a
+        examined, subset = first_dependent_by_ranks(mat, p, c)
+        outcomes.add(subset is None)
+        assert kruskal_rank_at_least(z, d, c) == (subset is None)
+        if subset is None:
+            assert z._kruskal_cache == {d: (c, examined)}
+        else:
+            assert kruskal_failure(z, d) == (c, examined, subset)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 101, 31991, 2_147_483_647))
+def test_kruskal_cap_by_minors_matches_subset_ranks(p):
+    # at k = columns all subsets are decided by one sweep over maximal
+    # minors; it must agree with ranking the subsets themselves on both
+    # outcomes, including where the failure falls
+    assert_cap_matches_subset_ranks(p)
+
+
+@pytest.mark.parametrize("p", (7, 31991))
+def test_kruskal_cap_above_the_sweep_limit_ranks_subsets(p, monkeypatch):
+    # a limit below every table size, even the empty one at ell = c
+    monkeypatch.setattr(points_module, "_SWEEP_ENTRIES", -1)
+    monkeypatch.setattr(points_module, "_maximal_minors_mod", no_elimination)
+    assert_cap_matches_subset_ranks(p)
+
+
+def test_kruskal_cap_on_generator_draws_at_a_small_prime():
+    # at p = 101 nearly every draw of 14 points has a dependent 10-subset,
+    # so the failure position is tested on many draws
+    from waringcert.generate import _rng, _sample_pointset
+
+    ctx = PrimeContext(101)
+    rng = _rng(0, 0)
+    draws, positions = 0, set()
+    while draws < 300:
+        z = _sample_pointset(ctx, rng)
+        if z is None:
+            continue
+        draws += 1
+        examined, subset = first_dependent_by_ranks(evaluation_matrix(z, 3).a, 101, 10)
+        assert kruskal_rank_at_least(z, 3, 10) == (subset is None)
+        if subset is not None:
+            assert kruskal_failure(z, 3) == (10, examined, subset)
+            positions.add(examined)
+    assert len(positions) > 10
+
+
+def det_mod(rows, p):
+    """Determinant over Z_p by elimination on Python ints."""
+    m, det = [list(r) for r in rows], 1
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c] % p), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv], det = m[piv], m[c], -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], p - 2, p)
+        for i in range(c + 1, len(m)):
+            f = m[i][c] * inv % p
+            m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
+    return det % p
+
+
+def test_maximal_minors_exact_at_the_largest_prime():
+    # entries just below p make every product and every signed level sum
+    # as large as they get; unreduced products would wrap in int64
+    p = 2_147_483_647
+    rng = np.random.default_rng(9)
+    for r, ell in ((1, 4), (2, 5), (5, 9), (6, 12)):
+        a = p - 1 - rng.integers(0, 1000, size=(r, ell))
+        expect = [det_mod(a[:, list(cols)].tolist(), p)
+                  for cols in combinations(range(ell), r)]
+        assert points_module._maximal_minors_mod(a, p).tolist() == expect
 
 
 def test_pointset_duplicates_agree_with_minors():
