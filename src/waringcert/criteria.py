@@ -52,10 +52,6 @@ class Certificate:
             return f"Degenerate({self.reason})"
         return f"Inconclusive({self.reason})"
 
-    @property
-    def is_identifiable(self) -> bool:
-        return self.verdict == IDENTIFIABLE
-
     def evidence_dict(self) -> dict:
         return dict(self.evidence)
 

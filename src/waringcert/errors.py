@@ -14,10 +14,6 @@ class NotPrime(WaringError):
     """Modulus failed the primality check."""
 
 
-class InconsistentSystem(WaringError):
-    """Right-hand side lies outside the column space."""
-
-
 class ZeroPoint(WaringError):
     """A projective point must have a nonzero coordinate tuple."""
 

@@ -51,7 +51,6 @@ from .errors import (
     QuarticNotUnique,
     SelectionFailed,
     SyzygyDimension,
-    WaringError,
     WitnessRejected,
 )
 from .ffield import (
@@ -161,14 +160,16 @@ def check_preconditions(inst: Instance) -> tuple:
     combinations order, not the exact k_3."""
     _require_octic14_shape(inst)
     A = inst.pointset
-    r8 = evaluation_matrix(A, 8).rank()
+    h4 = evaluation_matrix(A, 4).rank()
+    # h_A never decreases and never exceeds the 14 points, so h_A(4) = 14
+    # already fixes rank(ev(A,8)) = 14
+    r8 = 14 if h4 == 14 else evaluation_matrix(A, 8).rank()
     if r8 != 14:
         raise PreconditionFailed(1, r8, f"rank(ev(A,8)) = {r8} != 14")
     zeros = np.nonzero(inst.lam == 0)[0]
     if zeros.size:
         raise PreconditionFailed(1, f"lambda[{int(zeros[0])}] = 0",
                                  "zero coefficient makes A redundant for T")
-    h4 = evaluation_matrix(A, 4).rank()
     if h4 != 14:
         raise PreconditionFailed(2, h4, f"h_A(4) = {h4} != 14")
     if not kruskal_rank_at_least(A, 3, 10):

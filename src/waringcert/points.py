@@ -103,9 +103,6 @@ class PointSet:
     def subset(self, indices) -> "PointSet":
         return PointSet(self.ctx, [self.points[i] for i in indices])
 
-    def remove(self, index: int) -> "PointSet":
-        return self.subset([i for i in range(len(self)) if i != index])
-
     def union(self, other: "PointSet") -> "PointSet":
         """Union keeping self's order, then the new points of other."""
         if other.ctx != self.ctx or other.n != self.n:
@@ -118,10 +115,6 @@ class PointSet:
     def intersection_size(self, other: "PointSet") -> int:
         mine = set(self.canonical_keys())
         return sum(1 for key in other.canonical_keys() if key in mine)
-
-    def contains_point(self, pt) -> bool:
-        key = _canonical_point(tuple(int(c) % self.ctx.p for c in pt), self.ctx.p)
-        return key in set(self.canonical_keys())
 
     def __repr__(self):
         return f"PointSet({len(self)} points in P^{self.n} over Z_{self.ctx.p})"

@@ -138,15 +138,6 @@ class GradedPoly:
         c[i] = 1
         return cls(ctx, b, c)
 
-    @classmethod
-    def from_terms(cls, ctx: PrimeContext, n: int, d: int, terms) -> "GradedPoly":
-        """terms: iterable of (exponent tuple, coefficient)."""
-        b = monomial_basis(n, d)
-        c = np.zeros(b.size, dtype=np.int64)
-        for e, coef in terms:
-            c[b.index_of(tuple(e))] = (c[b.index_of(tuple(e))] + coef) % ctx.p
-        return cls(ctx, b, c)
-
     @property
     def n(self) -> int:
         return self.basis.n
@@ -370,24 +361,6 @@ class ParamPoly:
     def __setattr__(self, *_):
         raise AttributeError("ParamPoly is immutable")
 
-    @classmethod
-    def zero(cls, ctx: PrimeContext, n: int, d: int, nparams: int) -> "ParamPoly":
-        b = monomial_basis(n, d)
-        return cls(ctx, b, np.zeros((b.size, nparams), dtype=np.int64))
-
-    @classmethod
-    def generic_form(cls, ctx: PrimeContext, n: int, d: int, nparams: int,
-                     offset: int) -> "ParamPoly":
-        """The form whose degree-d coefficients are the parameters
-        a_offset .. a_{offset+size-1} themselves."""
-        b = monomial_basis(n, d)
-        if offset < 0 or offset + b.size > nparams:
-            raise ValueError("parameter window out of range")
-        m = np.zeros((b.size, nparams), dtype=np.int64)
-        for i in range(b.size):
-            m[i, offset + i] = 1
-        return cls(ctx, b, m)
-
     @property
     def nparams(self) -> int:
         return self.mat.shape[1]
@@ -402,17 +375,3 @@ class ParamPoly:
             raise ValueError("wrong parameter vector length")
         return GradedPoly(self.ctx, self.basis,
                           matmul_mod(self.mat, a[:, None], self.ctx.p)[:, 0])
-
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        if other.basis is not self.basis or other.nparams != self.nparams:
-            raise DegreeMismatch("incompatible parametric forms")
-        return ParamPoly(self.ctx, self.basis, (self.mat + other.mat) % self.ctx.p)
-
-    def scale(self, c: int) -> "ParamPoly":
-        return ParamPoly(self.ctx, self.basis, self.mat * (int(c) % self.ctx.p) % self.ctx.p)
-
-    def mul_poly(self, g: GradedPoly) -> "ParamPoly":
-        """Product with a numeric form; stays linear in the parameters."""
-        mm = mult_map(g, g.degree + self.degree)
-        return ParamPoly(self.ctx, monomial_basis(self.basis.n, g.degree + self.degree),
-                         matmul_mod(mm.a, self.mat, self.ctx.p))

@@ -98,12 +98,10 @@ def test_gen_unidentifiable_invariants():
     assert ib8.shape[0] == 31
     assert not np.any(matmul_mod(t[None, :], np.asarray(ib8).T, p))
     assert rank_mod(np.vstack([ia8, ib8]), p) == 44
-    # solving for the coefficients again gives the same nonzero lambda
-    from waringcert.ffield import solve_mod
-    lam, null_dim = solve_mod(evaluation_matrix(inst.pointset, 8).a.T, t, p)
-    assert null_dim == 0
-    assert np.array_equal(lam, inst.lam)
-    assert not np.any(lam == 0)
+    # independent degree-8 images: the form determines its lambda, which
+    # has no zero entry
+    assert rank_mod(evaluation_matrix(inst.pointset, 8).a, p) == 14
+    assert not np.any(inst.lam == 0)
 
 
 def test_gen_unidentifiable_subset_spans_miss_the_form(ctx):
@@ -257,6 +255,13 @@ GOLDEN_DEFAULT = (
     "fda5631f8acae44229cec74529f637c6767b5baf05f5344d8bf36ee920185da8",
     "a49a69df2a7c8b1f2061e8369db9776ce489e5b1e1a8b2dbdd5cefbe7632162c",
 )
+# Pinned before the sampler stopped ranking ev(A, 8): with h(4) = 14 that
+# gate never rejects, so the same draws must pass in the same attempt.
+GOLDEN_IDENTIFIABLE = (
+    "6f5cfed2a63f78a995319ec7cdfd5fbe478709c90d3247f5ca86d158ce51455d",
+    "f816bf47eaf59def313fae7da9e7efe47b3f9afc8332cb1c3ec3cc05a6dec064",
+    "2464989f22b4607f598ad6eb51470006ed3f986edcaef775161ef52b885e06ba",
+)
 
 
 def test_rational_residual_generator_is_pinned():
@@ -268,3 +273,8 @@ def test_rational_residual_generator_is_pinned():
 def test_unidentifiable_generator_is_pinned():
     got = tuple(generated_digest(gen_unidentifiable(s)) for s in range(len(GOLDEN_DEFAULT)))
     assert got == GOLDEN_DEFAULT
+
+
+def test_identifiable_generator_is_pinned():
+    got = tuple(generated_digest(gen_identifiable(s)) for s in range(len(GOLDEN_IDENTIFIABLE)))
+    assert got == GOLDEN_IDENTIFIABLE

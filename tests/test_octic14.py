@@ -33,6 +33,7 @@ from waringcert.octic14 import (
     _proportionality,
     system_rows_full,
 )
+from waringcert.fixtures import reference_instance
 from waringcert.polys import GradedPoly, det_poly, monomial_basis
 
 from conftest import random_pointset
@@ -65,16 +66,47 @@ def test_precondition_zero_lambda(ref_points):
     assert err.value.test == 1
 
 
-def test_precondition_conic_heavy(ctx):
-    # 11 points on a conic impose at most 9 conditions on quartics, so the
-    # Hilbert test fails before the Kruskal test is reached
-    rng = np.random.default_rng(0)
+def conic_heavy_pointset(ctx):
+    # 11 points on a conic impose at most 9 conditions on quartics
     pts = [(1, t, t * t % ctx.p) for t in range(11)]
     pts += [(1, 7, 3), (2, 1, 9), (5, 11, 4)]
-    inst = Instance(PointSet(ctx, pts), 8, rng.integers(1, ctx.p, size=14))
+    return PointSet(ctx, pts)
+
+
+def test_precondition_conic_heavy(ctx):
+    # the Hilbert test fails before the Kruskal test is reached
+    rng = np.random.default_rng(0)
+    inst = Instance(conic_heavy_pointset(ctx), 8, rng.integers(1, ctx.p, size=14))
     with pytest.raises(PreconditionFailed) as err:
         check_preconditions(inst)
     assert err.value.test == 2
+
+
+def test_precondition_zero_lambda_outranks_hilbert(ctx):
+    # h_A(4) < 14 sends the check to rank ev(A,8), which is 14 here, and
+    # the zero coefficient is still reported before the Hilbert test
+    lam = [1] * 14
+    lam[3] = 0
+    inst = Instance(conic_heavy_pointset(ctx), 8, lam)
+    with pytest.raises(PreconditionFailed) as err:
+        check_preconditions(inst)
+    assert err.value.test == 1 and err.value.value == "lambda[3] = 0"
+
+
+def test_precondition_collinear_ev8_rank(ctx):
+    # on a line the octics restrict to binary octics, a 9-dimensional space
+    inst = Instance(PointSet(ctx, [(1, t, 0) for t in range(14)]), 8, [1] * 14)
+    with pytest.raises(PreconditionFailed) as err:
+        check_preconditions(inst)
+    assert (err.value.test, err.value.value) == (1, 9)
+
+
+def test_preconditions_leave_ev8_unreduced():
+    # h_A(4) = 14 already fixes rank(ev(A,8)) = 14, so it is not computed
+    inst = reference_instance()
+    assert dict(check_preconditions(inst))["rank_ev8"] == 14
+    ev8 = inst.pointset._ev_cache.get(8)
+    assert ev8 is None or (ev8._rank is None and ev8._echelon is None)
 
 
 def assert_dependent_ten_subset(A, failure):

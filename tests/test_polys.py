@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from waringcert import (
     GradedPoly,
-    ParamPoly,
     PrimeContext,
     det_poly,
     maximal_minors,
@@ -153,26 +152,6 @@ def test_det_commutes_with_evaluation(seed):
         return total
 
     assert poly_eval(d, pt) == sdet(scalar) % ctx.p
-
-
-def test_param_poly_specialization_linearity(ctx):
-    rng = np.random.default_rng(3)
-    pp = ParamPoly.generic_form(ctx, 2, 2, 12, 6)
-    a1 = rng.integers(0, ctx.p, size=12)
-    a2 = rng.integers(0, ctx.p, size=12)
-    s = pp.specialize((a1 + a2) % ctx.p)
-    assert s == pp.specialize(a1) + pp.specialize(a2)
-    assert pp.specialize(np.zeros(12, dtype=np.int64)).is_zero()
-
-
-def test_param_poly_mul_commutes_with_specialize(ctx):
-    rng = np.random.default_rng(4)
-    pp = ParamPoly.generic_form(ctx, 2, 2, 12, 0)
-    cubic = GradedPoly(ctx, monomial_basis(2, 3),
-                       rng.integers(0, ctx.p, size=10))
-    prod = pp.mul_poly(cubic)
-    a = rng.integers(0, ctx.p, size=12)
-    assert prod.specialize(a) == cubic * pp.specialize(a)
 
 
 # ------------------------------------- products and determinants against oracles
