@@ -60,27 +60,29 @@ def parse_instance(text: str) -> tuple[Instance, dict]:
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in INSTANCE_FIELDS:
         _expect(key in obj, f"missing field {key!r}")
-    _expect(isinstance(obj["prime"], int), "field 'prime' must be an integer")
+    # type() rather than isinstance: JSON true and false are bools, and
+    # bool is a subclass of int
+    _expect(type(obj["prime"]) is int, "field 'prime' must be an integer")
     try:
         ctx = PrimeContext(obj["prime"])
     except NotPrime as e:
         raise InstanceFormatError(f"field 'prime': {e}") from e
     n = obj["n"]
-    _expect(isinstance(n, int) and n >= 1, "field 'n' must be an integer >= 1")
+    _expect(type(n) is int and n >= 1, "field 'n' must be an integer >= 1")
     degree = obj["degree"]
-    _expect(isinstance(degree, int) and degree >= 1,
+    _expect(type(degree) is int and degree >= 1,
             "field 'degree' must be an integer >= 1")
     points = obj["points"]
     _expect(isinstance(points, list) and points, "field 'points' must be a nonempty list")
     for i, row in enumerate(points):
         _expect(isinstance(row, list) and len(row) == n + 1,
                 f"points[{i}] must be a list of {n + 1} integers")
-        _expect(all(isinstance(c, int) for c in row),
+        _expect(all(type(c) is int for c in row),
                 f"points[{i}] must contain only integers")
     lam = obj["lambda"]
     _expect(isinstance(lam, list) and len(lam) == len(points),
             "field 'lambda' must list one integer per point")
-    _expect(all(isinstance(c, int) for c in lam),
+    _expect(all(type(c) is int for c in lam),
             "field 'lambda' must contain only integers")
     metadata = obj.get("metadata", {})
     _expect(isinstance(metadata, dict), "field 'metadata' must be an object")

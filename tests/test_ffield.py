@@ -284,12 +284,17 @@ def test_memoised_rank_and_kernel_equal_fresh(params, rank_first):
         assert (r.a.tolist(), list(piv)) == oracle_rref(a.tolist(), p)
 
 
-@pytest.mark.parametrize("big", [10**30, -10**30, 2**64])
+# numpy reads 2**63 and 2**64 - 1 beside small ints as float64, and
+# 2**64 - 1 fits a uint64 array; both must still reduce exactly
+@pytest.mark.parametrize("big", [10**30, -10**30, 2**64, 2**63, 2**64 - 1])
 def test_integers_beyond_int64_are_reduced(big):
     p = 31991
     ctx = PrimeContext(p)
     m = DenseMatrix(ctx, [[1, big], [big, 2]])
     assert m.a.tolist() == [[1, big % p], [big % p, 2]]
+    if 0 <= big < 2**64:
+        unsigned = np.array([[1, big]], dtype=np.uint64)
+        assert DenseMatrix(ctx, unsigned).a.tolist() == [[1, big % p]]
     f = GradedPoly(ctx, monomial_basis(2, 1), [big, 0, 1])
     assert f.coeffs.tolist() == [big % p, 0, 1]
     inst = Instance(PointSet(ctx, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 2, [1, 2, big])
@@ -299,3 +304,108 @@ def test_integers_beyond_int64_are_reduced(big):
 def test_non_integers_beyond_int64_are_refused():
     with pytest.raises(TypeError):
         DenseMatrix(PrimeContext(101), [[1.5, 2**64]])
+
+
+def test_floats_and_complex_are_refused():
+    ctx = PrimeContext(101)
+    for entries in ([[0.5, 1]], [[2.0, 1]], np.array([[3.0, 1.0]]),
+                    [[1 + 2j, 1]], np.array([[1j, 0]])):
+        with pytest.raises(TypeError):
+            DenseMatrix(ctx, entries)
+
+
+# ------------------------------- the elimination kernel on the certifier's shapes
+
+# Shapes the certifier and the generator eliminate, among them the 11x12
+# try kernels, ev(A,4) at 14x15, the 40x12 decision system and the 55x45
+# residual generators.
+CERTIFIER_SHAPES = [(11, 12), (14, 15), (28, 18), (40, 12), (45, 28), (55, 45)]
+KERNEL_PRIMES = (3, 101, 31991, 2**31 - 1)
+
+
+def certifier_matrix(kind: str, p: int, m: int, n: int) -> np.ndarray:
+    """A full-rank-looking random matrix, a planted product of rank
+    min(m, n) - 3, or entries in [p - 4, p) with repeated rows and
+    columns; the last two also get a zero row and a zero column."""
+    rng = np.random.default_rng([p % 10007, m, n, len(kind)])
+    if kind == "random":
+        return rng.integers(0, p, size=(m, n))
+    if kind == "planted":
+        inner = min(m, n) - 3
+        a = matmul_mod(rng.integers(0, p, size=(m, inner)),
+                       rng.integers(0, p, size=(inner, n)), p)
+    else:
+        a = p - 1 - rng.integers(0, 4, size=(m, n))
+        a[m // 2] = a[1]
+        a[:, n // 2] = a[:, 2]
+    a[m - 2] = 0
+    a[:, 1] = 0
+    return a
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("shape", CERTIFIER_SHAPES)
+@pytest.mark.parametrize("kind", ["random", "planted", "near_top"])
+def test_kernel_matches_oracle_on_certifier_shapes(kind, shape, p):
+    m, n = shape
+    a = certifier_matrix(kind, p, m, n)
+    before = a.copy()
+    rref, pivots = oracle_rref(a.tolist(), p)
+    if kind != "random":
+        assert len(pivots) < min(m, n)
+    r, piv = row_echelon(a, p)
+    assert r.tolist() == rref and piv == pivots
+    assert rank_mod(a, p) == len(pivots)
+    assert rank_mod(a[None], p).tolist() == [len(pivots)]
+    assert [v.tolist() for v in kernel_mod(a, p)] == oracle_kernel(a.tolist(), n, p)
+    assert np.array_equal(a, before)
+
+
+# ------------------------------------------------ each matrix is reduced once
+
+def count_eliminations(monkeypatch):
+    """Patch rank_mod and row_echelon in ffield (the bindings DenseMatrix
+    uses) and return the list of the arrays they are asked to eliminate,
+    counting a call made inside another counted call only once."""
+    from waringcert import ffield
+
+    seen, depth = [], [0]
+
+    def counted(fn):
+        def wrapper(a, p):
+            if not depth[0]:
+                seen.append(a)
+            depth[0] += 1
+            try:
+                return fn(a, p)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("rank_mod", "row_echelon"):
+        monkeypatch.setattr(ffield, name, counted(getattr(ffield, name)))
+    return seen
+
+
+def test_rank_then_kernel_reduces_once(monkeypatch):
+    p = 31991
+    a = certifier_matrix("planted", p, 14, 15)
+    seen = count_eliminations(monkeypatch)
+    mat = DenseMatrix(PrimeContext(p), a)
+    assert mat.rank() == 11
+    assert len(mat.kernel_basis()) == 4
+    assert mat.rank() == 11 and mat.rref()[1] == tuple(oracle_rref(a.tolist(), p)[1])
+    assert len(seen) == 1
+
+
+def test_cold_t1_check_reduces_ev4_once(monkeypatch):
+    from waringcert.driver import run_criteria
+    from waringcert.fixtures import reference_instance
+
+    inst = reference_instance()
+    seen = count_eliminations(monkeypatch)
+    cert, _ = run_criteria(inst, "all")
+    assert cert.display() == "IdentifiableOfRank(14)"
+    ev4 = inst.pointset._ev_cache[4].a
+    assert ev4.shape == (14, 15)
+    assert sum(1 for a in seen if a is ev4) == 1

@@ -86,18 +86,18 @@ def test_parse_rejects_oversized_evaluation_quickly(n, degree):
 
 
 def test_parsed_instance_starts_without_cached_ranks():
-    # ranks and echelon forms are memoised per point set, so a new parse
+    # echelon forms (and so ranks) are memoised per point set, so a new parse
     # must not inherit any from an earlier one
     from waringcert.driver import run_criteria
 
     text = (FIXTURES / "optics_T1.json").read_text()
     first, _ = parse_instance(text)
     run_criteria(first, "all")
-    assert any(m._rank is not None for m in first.pointset._ev_cache.values())
+    assert any(m._echelon is not None for m in first.pointset._ev_cache.values())
     inst, _ = parse_instance(text)
     cached = list(inst.pointset._ev_cache.values())
     assert cached
-    assert all(m._rank is None and m._echelon is None for m in cached)
+    assert all(m._echelon is None for m in cached)
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -118,6 +118,34 @@ def test_parse_errors_have_diagnostics(mutate, message):
     with pytest.raises(InstanceFormatError) as err:
         parse_instance(json.dumps(obj))
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("prime", True, "field 'prime' must be an integer"),
+    ("n", True, "field 'n' must be an integer >= 1"),
+    ("degree", True, "field 'degree' must be an integer >= 1"),
+    ("points", [[1, 0, 0], [0, True, 0], [0, 0, 1]], "points[1] must contain only integers"),
+    ("lambda", [1, False, 1], "field 'lambda' must contain only integers"),
+])
+def test_parse_rejects_json_booleans(field, value, message):
+    # bool is a subclass of int, so true and false would pass an isinstance check
+    obj = {
+        "prime": 31991, "n": 2, "degree": 4,
+        "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "lambda": [1, 1, 1],
+    }
+    obj[field] = value
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(json.dumps(obj))
+    assert message in str(err.value)
+
+
+def test_parse_rejects_boolean_p1_instance():
+    text = ('{"prime": 31991, "degree": 2, "n": true, '
+            '"points": [[true, false], [false, true], [1, 1]], "lambda": [1, true, 3]}')
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(text)
+    assert "field 'n' must be an integer >= 1" in str(err.value)
 
 
 def test_parse_bad_json_reports_position():
