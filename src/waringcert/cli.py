@@ -119,17 +119,16 @@ def cmd_gen(args) -> int:
 def cmd_hilbert(args) -> int:
     inst, _, _ = _load(args.path)
     ps = inst.pointset
-    if args.max_degree is not None:
-        j_max = args.max_degree
-    else:
+    j_max = args.max_degree
+    prof = hilbert_profile(ps, len(ps) if j_max is None else j_max)
+    if j_max is None:
         # up to stabilization plus one degree so the zero difference shows
-        prof = hilbert_profile(ps, len(ps))
-        j_max = next(j for j, h in enumerate(prof.values) if h == len(ps)) + 1
-    prof = hilbert_profile(ps, j_max)
-    width = max(len(str(v)) for v in prof.values) + 2
+        j_max = prof.values.index(len(ps)) + 1
+    values, diffs = prof.values[:j_max + 1], prof.differences[:j_max + 1]
+    width = max(len(str(v)) for v in values) + 2
     print("j  " + "".join(f"{j:>{width}}" for j in range(j_max + 1)))
-    print("h  " + "".join(f"{v:>{width}}" for v in prof.values))
-    print("Dh " + "".join(f"{v:>{width}}" for v in prof.differences))
+    print("h  " + "".join(f"{v:>{width}}" for v in values))
+    print("Dh " + "".join(f"{v:>{width}}" for v in diffs))
     return EXIT_VERDICT
 
 
@@ -213,6 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name in ("max_degree", "d"):
+        if (getattr(args, name, None) or 0) < 0:
+            print(f"error: --{name.replace('_', '-')} must be >= 0", file=sys.stderr)
+            sys.exit(EXIT_INPUT)
     try:
         code = args.func(args)
     except NotPrime as e:

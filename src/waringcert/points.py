@@ -1,13 +1,15 @@
 """Finite point sets in projective space and their linear invariants.
 
 The Hilbert function of a point set Z in degree j is the rank of the
-evaluation matrix whose rows are the degree-j monomial vectors of the
-points; its kernel is the degree-j piece of the ideal of Z.  On top of
-that single primitive this module computes first differences, the h^1
-defect ell(Z) - h_Z(d), Kruskal ranks (at the column count by one sweep
-over maximal minors, below it by subset enumeration), the
-Cayley-Bacharach predicate in a given degree, and dimensions of
-intersections of Veronese spans.
+evaluation matrix ev(Z, j) of the degree-j monomial vectors of the
+points; its kernel is the degree-j piece of the ideal of Z.  With
+monomials lex-descending, the first C(j+n, n) columns of ev(Z, D) are
+ev(Z, j) with row i scaled by x0(P_i)^(D-j), so one elimination gives
+h_Z(0..D), after a shear where x0 meets Z (see hilbert_profile).  This
+module also computes first differences, the h^1 defect ell(Z) - h_Z(d),
+Kruskal ranks (at the column count by one sweep over maximal minors,
+below it by subset enumeration), the Cayley-Bacharach predicate in a
+given degree, and dimensions of intersections of Veronese spans.
 
 Two coordinate tuples are the same projective point iff their
 canonical representatives (first nonzero coordinate scaled to 1) agree;
@@ -16,16 +18,18 @@ projectively_equal decides the same by the 2x2 minors of the pair.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, count, islice
 from math import comb
 
 import numpy as np
 
 from .errors import DuplicatePoint, ZeroPoint
 from .ffield import (DenseMatrix, PrimeContext, _kernel_from_echelon, kernel_mod,
-                     rank_mod, row_echelon)
+                     matmul_mod, rank_mod, row_echelon)
 from .polys import _veronese_rows
 
 
@@ -55,7 +59,8 @@ class PointSet:
     """An ordered list of pairwise distinct projective points.
 
     Coordinate representatives are fixed at construction (reduced mod p)
-    and the order is meaningful for reporting.  Evaluation matrices,
+    and the order is meaningful for reporting.  Floats, complex numbers
+    and bools are refused with TypeError.  Evaluation matrices,
     Kruskal ranks and failed Kruskal floors are cached per degree since
     the value is immutable.
     """
@@ -64,7 +69,11 @@ class PointSet:
                  "_kruskal_failures")
 
     def __init__(self, ctx: PrimeContext, points):
-        pts = [tuple(int(c) % ctx.p for c in row) for row in points]
+        def residue(c):  # operator.index refuses floats and numpy bools
+            if isinstance(c, bool):
+                raise TypeError(f"coordinate {c!r} is a bool, not an integer")
+            return operator.index(c) % ctx.p
+        pts = [tuple(map(residue, row)) for row in points]
         if not pts:
             raise ValueError("a point set needs at least one point")
         n = len(pts[0]) - 1
@@ -158,20 +167,48 @@ def ideal_piece(Z: PointSet, d: int) -> list[np.ndarray]:
     return evaluation_matrix(Z, d).kernel_basis()
 
 
+def _chart(Z: PointSet) -> PointSet | None:
+    """Z with x0 replaced by the first L_t = x0 + t*x1 + ... + t^n*xn,
+    t = 0, 1, ..., that vanishes at no point, or None if no t in Z_p does."""
+    a, p = Z.coords_array(), Z.ctx.p
+    for t in range(min(p, Z.n * len(Z) + 1)):
+        lead = matmul_mod(a, np.array([pow(t, k, p) for k in range(Z.n + 1)]), p)
+        if lead.all():
+            return Z if t == 0 else PointSet(Z.ctx, np.c_[lead, a[:, 1:]].tolist())
+    return None
+
+
 def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
     """h_Z and its first difference on 0..j_max, with h_Z(-1) = 0.
 
-    Once h_Z(j) = ell(Z) it stays there, so higher degrees are not
-    ranked.  Over a small field every form of degree 1 may vanish on some
-    point of Z, but ranks do not change under field extension, where the
-    usual argument (multiply by a form missing Z) applies.
+    h_Z(j) is the number of pivots of ev(_chart(Z), D) below column
+    C(j+n, n), for j <= D: the RREF of a column prefix is the prefix of
+    the RREF, and neither row scaling nor the shear x0 -> L_t changes a
+    rank.  Each point is a root of at most n of the L_t, so a chart
+    exists whenever n*ell < p.  D = j_max while ev(Z, j_max) has at most
+    2**18 entries, the bound storage.MAX_EVALUATION_ENTRIES puts on an
+    instance; above it D starts at the least d with C(d+n, n) >= ell and
+    doubles up to j_max until h_Z(D) = ell, which then holds in every
+    higher degree, also over a small field: ranks do not change under
+    field extension.  Without a chart each degree is ranked on its own.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    values = []
-    for j in range(j_max + 1):
-        values.append(len(Z) if values and values[-1] == len(Z)
-                      else evaluation_matrix(Z, j).rank())
+    ell, n, chart = len(Z), Z.n, _chart(Z)
+    if chart is None:
+        values = []
+        for j in range(j_max + 1):
+            values.append(ell if values and values[-1] == ell
+                          else evaluation_matrix(Z, j).rank())
+    else:
+        D = (j_max if ell * comb(j_max + n, n) <= 2**18
+             else min(j_max, next(d for d in count() if comb(d + n, n) >= ell)))
+        pivots = evaluation_matrix(chart, D)._reduced()[1]
+        while len(pivots) < ell and D < j_max:
+            D = min(2 * D, j_max)
+            pivots = evaluation_matrix(chart, D)._reduced()[1]
+        values = [bisect_left(pivots, comb(j + n, n)) if j <= D else ell
+                  for j in range(j_max + 1)]
     diffs = [values[0]] + [values[j] - values[j - 1] for j in range(1, j_max + 1)]
     return HilbertProfile(tuple(values), tuple(diffs), len(Z))
 

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -16,13 +17,16 @@ from waringcert import (
     kruskal_rank_detail,
     span_intersection_dim,
 )
+from waringcert import ffield as ffield_module
+from waringcert import monomial_basis, run_criteria
 from waringcert.errors import DuplicatePoint, ZeroPoint
-from waringcert.fixtures import reference_pointset, six_point_sets
+from waringcert.fixtures import reference_instance, reference_pointset, six_point_sets
 from waringcert import points as points_module
 from waringcert.ffield import rank_mod
 from waringcert.points import kruskal_failure, kruskal_rank_at_least, projectively_equal
 
 from conftest import random_pointset
+from test_ffield import oracle_rank
 
 
 def conic_points(ctx, ts):
@@ -44,6 +48,21 @@ def test_rejects_zero_point(ctx):
 def test_rejects_projective_duplicates(ctx):
     with pytest.raises(DuplicatePoint):
         PointSet(ctx, [(1, 2, 3), (2, 4, 6)])
+
+
+@pytest.mark.parametrize("bad", ((1.5, 0, 0), (1, 0j, 0), (True, 0, 1),
+                                 np.array([1.0, 2.0, 3.0]), np.array([True, False, True])))
+def test_rejects_coordinates_that_are_not_integers(ctx, bad):
+    with pytest.raises(TypeError):
+        PointSet(ctx, [(0, 1, 0), bad])
+
+
+def test_accepts_numpy_integer_coordinates(ctx):
+    rows = np.array([[1, -2, 3], [0, 1, 40000]], dtype=np.int64)
+    want = ((1, ctx.p - 2, 3), (0, 1, 40000 - ctx.p))
+    assert PointSet(ctx, rows).points == want
+    assert PointSet(ctx, [[np.int64(1), np.int32(-2), np.uint8(3)], rows[1]]).points == want
+    assert all(type(c) is int for pt in PointSet(ctx, rows).points for c in pt)
 
 
 def test_projective_equality_by_minors(ctx):
@@ -167,6 +186,122 @@ def test_profile_saturation_matches_ranking_every_degree(p, n):
         assert hilbert_profile(PointSet(ctx, coords), j_max).values == expect
         checked += 1
     assert checked >= 5
+
+
+def plain_ev(points, j, n, p):
+    """ev(Z, j) as plain ints: one row of degree-j monomials per point."""
+    exps = monomial_basis(n, j).exponents
+    return [[prod(pow(int(c), e, p) for c, e in zip(pt, ex)) % p for ex in exps]
+            for pt in points]
+
+
+def blocking_coords(p, n, rng, extra):
+    """A point on every hyperplane x0 + t*x1 + ... + t^n*xn = 0, t in Z_p,
+    plus up to `extra` random points, with projective duplicates dropped."""
+    rows = []
+    for t in range(p):
+        tail = rng.integers(0, p, size=n)
+        tail[0] = tail[0] or 1
+        rows.append([-sum(pow(t, k + 1, p) * int(c) for k, c in enumerate(tail)) % p,
+                     *tail.tolist()])
+    rows += rng.integers(0, p, size=(extra, n + 1)).tolist()
+    keys = {}
+    for r in rows:
+        if any(r):
+            keys.setdefault(tuple(points_module._canonical_point(tuple(r), p)), r)
+    return list(keys.values())
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 101, 31991))
+def test_profile_matches_oracle_in_every_chart(p):
+    # sets missing x0 = 0, sets the profile shears, and (for p <= 7) sets
+    # meeting every L_t, which fall back to ranking each degree
+    ctx = PrimeContext(p)
+    rng = np.random.default_rng(p)
+    seen = {"x0": 0, "shear": 0, "fallback": 0}
+    for n in (1, 2, 3):
+        if p <= 7:
+            space = projective_space(p, n)
+            off, on = space[space[:, 0] != 0], space[space[:, 0] == 0]
+        else:
+            off = rng.integers(1, p, size=(40, n + 1))
+            on = np.column_stack([np.zeros(40, dtype=np.int64), off[:, 1:]])
+        for trial in range(12):
+            pick = off[rng.choice(len(off), int(rng.integers(1, min(len(off), 10) + 1)),
+                                  replace=False)]
+            if trial % 3 == 0:
+                coords = pick
+            elif trial % 3 == 1 or p > 7:
+                coords = np.vstack([on[rng.choice(len(on), min(2, len(on)), replace=False)],
+                                    pick])
+            else:
+                coords = blocking_coords(p, n, rng, int(rng.integers(0, 4)))
+            try:
+                z = PointSet(ctx, coords)
+            except DuplicatePoint:
+                continue
+            chart = points_module._chart(z)
+            seen["fallback" if chart is None else "x0" if chart is z else "shear"] += 1
+            j_max = min(len(z) + 1, 9)
+            expect = tuple(oracle_rank(plain_ev(z.points, j, n, p), p)
+                           for j in range(j_max + 1))
+            assert hilbert_profile(z, j_max).values == expect
+    assert seen["x0"] and seen["shear"]
+    assert seen["fallback"] or p > 7
+
+
+def count_eliminations(monkeypatch):
+    """Shapes of every row_echelon call from here on."""
+    shapes = []
+    real = ffield_module.row_echelon
+
+    def counting(a, p):
+        shapes.append(np.shape(a))
+        return real(a, p)
+
+    monkeypatch.setattr(ffield_module, "row_echelon", counting)
+    monkeypatch.setattr(points_module, "row_echelon", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("lead", ("any", "zero"))
+def test_profile_is_one_elimination_with_a_chart(ctx, monkeypatch, lead):
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 3):
+        for count in (1, 5, 14, 30):
+            z = random_pointset(ctx, rng, count, n=n)
+            if lead == "zero":
+                z = PointSet(ctx, [(0,) + z.points[0][1:], *z.points[1:]])
+                assert points_module._chart(z) is not z
+            shapes = count_eliminations(monkeypatch)
+            prof = hilbert_profile(z, count)
+            assert len(shapes) == 1 and prof.values[-1] == count
+
+
+def test_profile_after_a_cold_check_eliminates_nothing(monkeypatch):
+    inst = reference_instance()
+    run_criteria(inst)
+    shapes = count_eliminations(monkeypatch)
+    assert hilbert_profile(inst.pointset, 8).values == (1, 3, 6, 10, 14, 14, 14, 14, 14)
+    assert shapes == []
+
+
+def test_profile_of_collinear_points(ctx, monkeypatch):
+    # ev(Z, 120) would hold 885,720 entries, so D doubles from 14, the
+    # least d with C(d+2, 2) >= 120, until h(D) = 120 or D = 120
+    z = line_points(ctx, range(120))
+    shapes = count_eliminations(monkeypatch)
+    assert hilbert_profile(z, 120).values == tuple(min(j + 1, 120) for j in range(121))
+    assert shapes == [(120, comb(D + 2, 2)) for D in (14, 28, 56, 112, 120)]
+
+
+def test_large_profile_stops_at_the_first_degree_reaching_ell(ctx, monkeypatch):
+    z = random_pointset(ctx, np.random.default_rng(300), 300)
+    d0 = next(d for d in range(300) if comb(d + 2, 2) >= 300)
+    shapes = count_eliminations(monkeypatch)
+    prof = hilbert_profile(z, 300)
+    assert prof.values == tuple(min(comb(j + 2, 2), 300) for j in range(301))
+    assert shapes and max(c for _, c in shapes) <= 2 * comb(d0 + 2, 2)
 
 
 # ---------------------------------------------------------------- kruskal rank

@@ -271,6 +271,14 @@ def test_hilbert_table_five_aligned():
     assert lines[2] == "Dh 1 2 1 1 1 0"
 
 
+@pytest.mark.parametrize("command, option", (("hilbert", "--max-degree"),
+                                             ("kruskal", "--d")))
+def test_negative_degree_is_an_input_error(command, option):
+    res = run_cli(command, str(FIXTURES / "six_on_conic.json"), option, "-1")
+    assert res.returncode == 2
+    assert res.stderr.strip() == f"error: {option} must be >= 0"
+
+
 def test_kruskal_command_reference():
     res = run_cli("kruskal", str(FIXTURES / "optics_T1.json"), "--d", "3")
     assert res.returncode == 0
