@@ -117,9 +117,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    j_max = args.max_degree
+    if j_max is not None and j_max < 0:
+        print("error: --max-degree must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
     inst, _, _ = _load(args.path)
     ps = inst.pointset
-    j_max = args.max_degree
     prof = hilbert_profile(ps, len(ps) if j_max is None else j_max)
     if j_max is None:
         # up to stabilization plus one degree so the zero difference shows
@@ -133,6 +136,9 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_kruskal(args) -> int:
+    if args.d < 0:
+        print("error: --d must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
     inst, _, _ = _load(args.path)
     k, examined = kruskal_rank_detail(inst.pointset, args.d)
     print(f"k_{args.d} = {k} ({examined} subsets examined)")
@@ -212,10 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for name in ("max_degree", "d"):
-        if (getattr(args, name, None) or 0) < 0:
-            print(f"error: --{name.replace('_', '-')} must be >= 0", file=sys.stderr)
-            sys.exit(EXIT_INPUT)
     try:
         code = args.func(args)
     except NotPrime as e:

@@ -2,14 +2,13 @@
 
 The Hilbert function of a point set Z in degree j is the rank of the
 evaluation matrix ev(Z, j) of the degree-j monomial vectors of the
-points; its kernel is the degree-j piece of the ideal of Z.  With
-monomials lex-descending, the first C(j+n, n) columns of ev(Z, D) are
-ev(Z, j) with row i scaled by x0(P_i)^(D-j), so one elimination gives
-h_Z(0..D), after a shear where x0 meets Z (see hilbert_profile).  This
-module also computes first differences, the h^1 defect ell(Z) - h_Z(d),
-Kruskal ranks (at the column count by one sweep over maximal minors,
-below it by subset enumeration), the Cayley-Bacharach predicate in a
-given degree, and dimensions of intersections of Veronese spans.
+points; its kernel is the degree-j piece of the ideal of Z.  The first
+C(j+n, n) columns of ev(Z, D) are ev(Z, j) up to row scaling by
+x0^(D-j) (monomials lex-descending), so one elimination gives h_Z(0..D);
+hilbert_profile shears where x0 meets Z.  Also here: first differences,
+the h^1 defect ell(Z) - h_Z(d), Kruskal ranks (at the column count by
+one sweep over maximal minors, below it by subset enumeration), the
+Cayley-Bacharach predicate, and intersection dimensions of Veronese spans.
 
 Two coordinate tuples are the same projective point iff their
 canonical representatives (first nonzero coordinate scaled to 1) agree;
@@ -21,7 +20,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, count, islice
 from math import comb
 
@@ -167,30 +166,29 @@ def ideal_piece(Z: PointSet, d: int) -> list[np.ndarray]:
     return evaluation_matrix(Z, d).kernel_basis()
 
 
-def _chart(Z: PointSet) -> PointSet | None:
-    """Z with x0 replaced by the first L_t = x0 + t*x1 + ... + t^n*xn,
-    t = 0, 1, ..., that vanishes at no point, or None if no t in Z_p does."""
+def _chart(Z: PointSet) -> tuple[int, np.ndarray] | None:
+    """(t, coordinates of Z with x0 replaced by L_t = x0 + t*x1 + ... +
+    t^n*xn) for the least t at which L_t vanishes at no point, or None
+    if none does; each point is a root of at most n of the L_t."""
     a, p = Z.coords_array(), Z.ctx.p
     for t in range(min(p, Z.n * len(Z) + 1)):
         lead = matmul_mod(a, np.array([pow(t, k, p) for k in range(Z.n + 1)]), p)
         if lead.all():
-            return Z if t == 0 else PointSet(Z.ctx, np.c_[lead, a[:, 1:]].tolist())
+            a[:, 0] = lead
+            return t, a
     return None
 
 
 def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
     """h_Z and its first difference on 0..j_max, with h_Z(-1) = 0.
 
-    h_Z(j) is the number of pivots of ev(_chart(Z), D) below column
-    C(j+n, n), for j <= D: the RREF of a column prefix is the prefix of
-    the RREF, and neither row scaling nor the shear x0 -> L_t changes a
-    rank.  Each point is a root of at most n of the L_t, so a chart
-    exists whenever n*ell < p.  D = j_max while ev(Z, j_max) has at most
-    2**18 entries, the bound storage.MAX_EVALUATION_ENTRIES puts on an
-    instance; above it D starts at the least d with C(d+n, n) >= ell and
-    doubles up to j_max until h_Z(D) = ell, which then holds in every
-    higher degree, also over a small field: ranks do not change under
-    field extension.  Without a chart each degree is ranked on its own.
+    h_Z(j) is the number of pivots of ev(Z, D), in the chart of
+    _chart(Z), below column C(j+n, n) for j <= D: the RREF of a column
+    prefix is the prefix of the RREF, and neither row scaling nor the
+    shear changes a rank.  A chart exists whenever n*ell < p; without
+    one each degree is ranked on its own.  D starts at min(j_max, least
+    d with C(d+n, n) >= ell) and doubles up to j_max until h_Z(D) = ell,
+    which then holds in every higher degree, over any field.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
@@ -201,13 +199,13 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
             values.append(ell if values and values[-1] == ell
                           else evaluation_matrix(Z, j).rank())
     else:
-        D = (j_max if ell * comb(j_max + n, n) <= 2**18
-             else min(j_max, next(d for d in count() if comb(d + n, n) >= ell)))
-        pivots = evaluation_matrix(chart, D)._reduced()[1]
-        while len(pivots) < ell and D < j_max:
+        t, a = chart  # only the unsheared ev(Z, D) is memoised on Z
+        ev = (partial(evaluation_matrix, Z) if t == 0
+              else lambda D: DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, a, D)))
+        D = min(j_max, next(d for d in count() if comb(d + n, n) >= ell))
+        while len(piv := ev(D)._reduced()[1]) < ell and D < j_max:
             D = min(2 * D, j_max)
-            pivots = evaluation_matrix(chart, D)._reduced()[1]
-        values = [bisect_left(pivots, comb(j + n, n)) if j <= D else ell
+        values = [bisect_left(piv, comb(j + n, n)) if j <= D else ell
                   for j in range(j_max + 1)]
     diffs = [values[0]] + [values[j] - values[j - 1] for j in range(1, j_max + 1)]
     return HilbertProfile(tuple(values), tuple(diffs), len(Z))

@@ -241,7 +241,7 @@ def test_profile_matches_oracle_in_every_chart(p):
             except DuplicatePoint:
                 continue
             chart = points_module._chart(z)
-            seen["fallback" if chart is None else "x0" if chart is z else "shear"] += 1
+            seen["fallback" if chart is None else "x0" if chart[0] == 0 else "shear"] += 1
             j_max = min(len(z) + 1, 9)
             expect = tuple(oracle_rank(plain_ev(z.points, j, n, p), p)
                            for j in range(j_max + 1))
@@ -272,7 +272,7 @@ def test_profile_is_one_elimination_with_a_chart(ctx, monkeypatch, lead):
             z = random_pointset(ctx, rng, count, n=n)
             if lead == "zero":
                 z = PointSet(ctx, [(0,) + z.points[0][1:], *z.points[1:]])
-                assert points_module._chart(z) is not z
+                assert points_module._chart(z)[0] != 0
             shapes = count_eliminations(monkeypatch)
             prof = hilbert_profile(z, count)
             assert len(shapes) == 1 and prof.values[-1] == count
@@ -287,8 +287,8 @@ def test_profile_after_a_cold_check_eliminates_nothing(monkeypatch):
 
 
 def test_profile_of_collinear_points(ctx, monkeypatch):
-    # ev(Z, 120) would hold 885,720 entries, so D doubles from 14, the
-    # least d with C(d+2, 2) >= 120, until h(D) = 120 or D = 120
+    # D doubles from 14, the least d with C(d+2, 2) >= 120, until
+    # h(D) = 120 or D = 120
     z = line_points(ctx, range(120))
     shapes = count_eliminations(monkeypatch)
     assert hilbert_profile(z, 120).values == tuple(min(j + 1, 120) for j in range(121))
