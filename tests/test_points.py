@@ -273,9 +273,10 @@ def test_profile_is_one_elimination_with_a_chart(ctx, monkeypatch, lead):
             if lead == "zero":
                 z = PointSet(ctx, [(0,) + z.points[0][1:], *z.points[1:]])
                 assert points_module._chart(z)[0] != 0
+            d0 = next(d for d in range(count + 1) if comb(d + n, n) >= count)
             shapes = count_eliminations(monkeypatch)
             prof = hilbert_profile(z, count)
-            assert len(shapes) == 1 and prof.values[-1] == count
+            assert shapes == [(count, comb(d0 + n, n))] and prof.values[-1] == count
 
 
 def test_profile_after_a_cold_check_eliminates_nothing(monkeypatch):
