@@ -12,10 +12,13 @@ made it 1.3-1.9x faster than the masked reduction before it, and no
 slower than the fraction-free rank-only loop it replaced (p=31991, best
 of 15 on a shared 2-vCPU VM: 11x12 180 -> 99 us against 130 us rank-only,
 55x45 1370 -> 995 us against 1442 us).  DenseMatrix keeps its RREF,
-so a rank and a kernel of the same matrix cost one elimination.  Only
-stacks of two or more matrices, such as Kruskal subsets, keep their own
-fraction-free loop.  Kernel bases go through the RREF, so their output
-is canonical.
+so a rank and a kernel of the same matrix cost one elimination.  An
+(N, m, n) stack of matrices, such as Kruskal subsets or the septic tries
+of the rational generator, is eliminated all members at once by one
+fraction-free loop: ranks clear only the unused rows, a stacked RREF
+clears every row and then sorts the rows and scales each pivot to 1 by
+one vectorised Fermat inverse.  Kernel bases go through the RREF, so
+their output is canonical.
 """
 
 from __future__ import annotations
@@ -124,14 +127,18 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def row_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def row_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int] | np.ndarray]:
     """Reduced row echelon form over Z_p.
 
     Pivot choice is the first nonzero entry of the current column, so the
     result (and everything derived from it) is deterministic.
-    Returns (rref matrix, pivot column indices).
+    Returns (rref matrix, pivot column indices).  An (N, m, n) stack gives
+    the N reduced forms, each equal to its member's own, and an (N, n)
+    boolean pivot mask.
     """
     a = as_residues(a, p)
+    if a.ndim == 3:
+        return _echelon_stacked(a, p, reduced=True)
     m, n = a.shape
     pivots: list[int] = []
     r = 0
@@ -174,41 +181,76 @@ def rank_mod(a: np.ndarray, p: int) -> int | np.ndarray:
     if a.shape[0] == 1:
         # one matrix eliminates faster row by row than as a stack
         return np.array([len(row_echelon(a[0], p)[1])], dtype=np.int64)
-    return _rank_stacked(a, p)
+    return _echelon_stacked(a, p, reduced=False)
 
 
-def _rank_stacked(a: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of the members of an (N, m, n) stack, reduced in place.
+def _echelon_stacked(a: np.ndarray, p: int, reduced: bool):
+    """Fraction-free elimination of an (N, m, n) stack, in place.
 
     Per column, every member picks its first unused row with a nonzero
-    entry as pivot and clears that column in its other unused rows by
+    entry as pivot and clears that column in other rows by
     row_j * piv - f_j * row_piv.  A member without a pivot in the column
-    is left unchanged (multiplier 1, factor 0).
+    is left unchanged (multiplier 1, factor 0).  Every product is below
+    p**2 < 2**62, so the update is exact.
+
+    Without `reduced` only the unused rows are cleared, from column c on,
+    and the N ranks are returned.  With it every row is cleared over its
+    full width (the multiplier scales a used row's earlier entries too);
+    the rows are then sorted by pivot column and each pivot scaled to 1,
+    which gives (the N reduced forms, the (N, n) pivot mask).
     """
     N, m, n = a.shape
     members = np.arange(N)
-    used = np.zeros((N, m), dtype=bool)
     ranks = np.zeros(N, dtype=np.int64)
+    pivot_col = np.full((N, m), n)  # n marks a row not used as pivot yet
     for c in range(n):
         col = a[:, :, c]
-        candidate = (col != 0) & ~used
+        nonzero = col != 0
+        candidate = nonzero & (pivot_col == n)
         has = candidate.any(axis=1)
         if not has.any():
             continue
         i = candidate.argmax(axis=1)
         piv = col[members, i]
-        prow = a[members, i, c:]
-        clear = candidate & has[:, None]
+        lo = 0 if reduced else c
+        prow = a[members, i, lo:]
+        clear = (nonzero if reduced else candidate) & has[:, None]
         clear[members, i] = False
         f = np.where(clear, col, 0)
         mult = np.where(clear, piv[:, None], 1)
-        a[:, :, c:] = (a[:, :, c:] * mult[:, :, None]
-                       - f[:, :, None] * prow[:, None, :]) % p
-        used[members[has], i[has]] = True
+        a[:, :, lo:] = (a[:, :, lo:] * mult[:, :, None]
+                        - f[:, :, None] * prow[:, None, :]) % p
+        pivot_col[members[has], i[has]] = c
         ranks += has
         if (ranks == min(m, n)).all():
             break
-    return ranks
+    if not reduced:
+        return ranks
+    # rows without a pivot are zero and sort last
+    order = np.argsort(pivot_col, axis=1, kind="stable")
+    a = np.take_along_axis(a, order[:, :, None], axis=1)
+    pivot_col = np.take_along_axis(pivot_col, order, axis=1)
+    held = pivot_col < n
+    if n:
+        lead = np.take_along_axis(a, np.where(held, pivot_col, 0)[:, :, None], axis=2)
+        a *= _inverse_mod(np.where(held, lead[:, :, 0], 1), p)[:, :, None]
+        a %= p
+    mask = np.zeros((N, n + 1), dtype=bool)
+    mask[members[:, None], pivot_col] = True
+    return a, mask[:, :n]
+
+
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise x**(p-2) mod p, the inverse of each nonzero residue."""
+    out = np.ones_like(x)
+    base = x.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
 
 
 def kernel_mod(a: np.ndarray, p: int) -> list[np.ndarray]:

@@ -25,8 +25,11 @@ are honest complete intersections with all 28 points visible, which is
 what the Hilbert-table and Cayley-Bacharach test suites need.  The
 septic search works modulo the quartic multiples: on the curve every
 septic through A is a combination of twelve fixed septics, so each try
-is an 11 x 12 kernel, and forms are evaluated on the whole plane by a
-separable product (plane_values).
+is an 11 x 12 kernel.  Tries are drawn and reduced sixteen at a time as
+one stacked RREF, and walked in order; the residual octic basis is read
+in reduced form off the one elimination of ev(B, 8).  Forms are
+evaluated on the whole plane by a separable product (plane_values), and
+points are matched to plane positions by plane_index.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .errors import (
 from .ffield import (
     DEFAULT_PRIME,
     PrimeContext,
+    _kernel_from_echelon,
     kernel_mod,
     matmul_mod,
     normalize_projective,
@@ -139,22 +143,23 @@ def gen_identifiable(seed: int, prime: int = DEFAULT_PRIME,
     )
 
 
-def _emit_unidentifiable(ps: PointSet, gens8: np.ndarray, seed: int, attempts: int,
+def _emit_unidentifiable(ps: PointSet, basis8: np.ndarray, seed: int, attempts: int,
                          witness_extra: dict) -> GeneratedInstance | None:
     """Shared tail of both constructions: the form, its coefficients, gates.
 
-    T is orthogonal to I_A(8) = ker ev(A, 8) iff T = lam * ev(A, 8), and
-    then to the residual octics iff lam * ev(A, 8) * basis^T = 0.  The
-    ideal sum has dimension (45 - 14) + rank of that 14 x 31 matrix, so
-    it is 44 iff the left kernel is one lam.  Returns None when a gate
-    fails so the caller can resample.
+    basis8 is the residual octic space I_B(8) in reduced row echelon
+    form, one row per dimension.  T is orthogonal to I_A(8) = ker ev(A, 8)
+    iff T = lam * ev(A, 8), and then to the residual octics iff
+    lam * ev(A, 8) * basis8^T = 0.  The ideal sum has dimension
+    (45 - 14) + rank of that 14 x 31 matrix, so it is 44 iff the left
+    kernel is one lam.  Returns None when a gate fails so the caller can
+    resample.
     """
     p = ps.ctx.p
-    rref, pivots = row_echelon(gens8, p)
-    if len(pivots) != 31:
+    if len(basis8) != 31:
         return None
     ev8 = evaluation_matrix(ps, 8).a
-    kern = kernel_mod(matmul_mod(ev8, rref[:31].T, p).T, p)
+    kern = kernel_mod(matmul_mod(ev8, basis8.T, p).T, p)
     if len(kern) != 1:
         return None
     t = matmul_mod(kern[0], ev8, p)
@@ -167,7 +172,7 @@ def _emit_unidentifiable(ps: PointSet, gens8: np.ndarray, seed: int, attempts: i
         raise RuntimeError("emitted coefficients do not reproduce the orthogonal form")
     witness = {
         "residual_octics_rank": 31,
-        "residual_octics_basis": rref[:31],
+        "residual_octics_basis": basis8,
         "ideal_sum_rank": 44,
         **witness_extra,
     }
@@ -211,9 +216,9 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
             avec = rng_a.integers(0, prime, size=12, dtype=np.int64)
             if not np.any(avec):
                 continue
-            gens8 = residual_octic_generators(fam, avec)
+            rref, pivots = row_echelon(residual_octic_generators(fam, avec), prime)
             out = _emit_unidentifiable(
-                ps, gens8, seed, attempts,
+                ps, rref[:len(pivots)], seed, attempts,
                 {"a": [int(x) for x in avec], "residual_points": None},
             )
             if out is not None:
@@ -245,6 +250,15 @@ def plane_points(p: int, at=None) -> np.ndarray:
                             np.where(y <= p, z, 1)]).astype(np.int64)
 
 
+def plane_index(ps: PointSet) -> np.ndarray:
+    """The positions of the points of a plane set in plane_points(p), the
+    inverse of that order: (1,y,z) -> y*p + z, (0,1,z) -> p*p + z and
+    (0,0,1) -> p*p + p, read off each point's canonical representative."""
+    p = ps.ctx.p
+    x, y, z = np.array(ps.canonical_keys(), dtype=np.int64).T
+    return np.where(x == 1, y * p + z, p * p + np.where(y == 1, z, p))
+
+
 def plane_values(f: GradedPoly) -> np.ndarray:
     """f at every point of plane_points(p), in that order.
 
@@ -268,19 +282,13 @@ def plane_values(f: GradedPoly) -> np.ndarray:
         C[0, d:]])
 
 
-def plane_zeros(f: GradedPoly) -> np.ndarray:
-    """The points of plane_points(p) where f vanishes, in that order."""
-    return plane_points(f.ctx.p, np.flatnonzero(plane_values(f) == 0))
-
-
 def recover_residual_points(Q: GradedPoly, quintics, A: PointSet,
-                            expected: int = 14,
                             scan_limit: int = SCAN_LIMIT) -> list[tuple[int, int, int]]:
     """Best-effort scan for the rational points of the second decomposition.
 
     Evaluates the quartic on the whole projective plane, keeps the common
     zeros of the quartic and all four quintics, and drops the points of A.
-    May return fewer than `expected` points: residual points need not be
+    May return fewer than 14 points: residual points need not be
     rational, and the count found is reported, never padded.
     """
     p = Q.ctx.p
@@ -289,15 +297,18 @@ def recover_residual_points(Q: GradedPoly, quintics, A: PointSet,
             f"p = {p} exceeds the scan guard {scan_limit}; raise scan_limit to force"
         )
     # restrict to the quartic curve first: ~p points instead of ~p^2
-    hits = plane_zeros(Q)
+    at = np.flatnonzero(plane_values(Q) == 0)
+    hits = plane_points(p, at)
     for q in quintics:
-        hits = hits[matmul_mod(_veronese_rows(q.ctx, hits, q.degree), q.coeffs, p) == 0]
-    akeys = set(A.canonical_keys())
-    found = [tuple(int(c) for c in row) for row in hits]
-    return [pt for pt in found if pt not in akeys]
+        keep = matmul_mod(_veronese_rows(q.ctx, hits, q.degree), q.coeffs, p) == 0
+        at, hits = at[keep], hits[keep]
+    return [tuple(pt) for pt in hits[~np.isin(at, plane_index(A))].tolist()]
 
 
 _RATIONAL_INNER_TRIES = 80
+# tries reduced as one stack; it divides the 80 tries, so a loop that runs
+# out still draws exactly 80 picks
+_TRY_CHUNK = 16
 
 
 def _gen_unidentifiable_rational(seed: int, prime: int,
@@ -332,10 +343,8 @@ def _gen_unidentifiable_rational(seed: int, prime: int,
         if fam is None:
             continue
         Q = fam.base.Q
-        on_curve = plane_zeros(Q)
-        akeys = set(ps.canonical_keys())
-        candidates = on_curve[np.array([tuple(int(c) for c in row) not in akeys
-                                        for row in on_curve], dtype=bool)]
+        on_curve = np.flatnonzero(plane_values(Q) == 0)
+        candidates = plane_points(p, on_curve[~np.isin(on_curve, plane_index(ps))])
         if len(candidates) < 14:
             continue
         # I_A(7) splits as Q*S_3 plus twelve septics comp; Q*S_3 vanishes on
@@ -347,33 +356,66 @@ def _gen_unidentifiable_rational(seed: int, prime: int,
         if len(comp) != 12:
             raise RuntimeError(f"I_A(7) has {len(comp)} septics beyond Q*S_3, expected 12")
         E = matmul_mod(_veronese_rows(ctx, candidates, 7), comp.T, p)
-        for _inner in range(_RATIONAL_INNER_TRIES):
-            attempts += 1
-            picked = np.sort(rng.choice(len(candidates), size=11, replace=False))
-            kern = kernel_mod(E[picked], p)
-            if len(kern) != 1:
-                continue
-            rest = np.delete(np.arange(len(candidates)), picked)
-            extra = rest[matmul_mod(E[rest], kern[0], p) == 0]
-            if len(extra) != 3:
-                continue
-            bset = PointSet(ctx, candidates[np.concatenate([picked, extra])])
-            gens8 = np.array(evaluation_matrix(bset, 8).kernel_basis())
-            astar = _parameters_for_points(fam, bset)
-            if astar is None:
-                continue
-            out = _emit_unidentifiable(
-                ps, gens8, seed, attempts,
-                {
-                    "a": [int(x) for x in astar],
-                    "residual_points": [list(pt) for pt in bset.points],
-                },
-            )
-            if out is not None:
-                return out
+        for _chunk in range(_RATIONAL_INNER_TRIES // _TRY_CHUNK):
+            picks = np.array([np.sort(rng.choice(len(candidates), size=11, replace=False))
+                              for _ in range(_TRY_CHUNK)])
+            lines, single = _septic_lines(E[picks], p)
+            zeros = matmul_mod(E, lines.T, p).T == 0
+            for picked, line_ok, on_septic in zip(picks, single, zeros):
+                attempts += 1
+                if not line_ok:
+                    continue
+                on_septic[picked] = False
+                extra = np.flatnonzero(on_septic)
+                if len(extra) != 3:
+                    continue
+                bset = PointSet(ctx, candidates[np.concatenate([picked, extra])])
+                astar = _parameters_for_points(fam, bset)
+                if astar is None:
+                    continue
+                out = _emit_unidentifiable(
+                    ps, _octic_ideal_rref(bset), seed, attempts,
+                    {
+                        "a": [int(x) for x in astar],
+                        "residual_points": [list(pt) for pt in bset.points],
+                    },
+                )
+                if out is not None:
+                    return out
     raise GenerationExhausted(
         f"no split residual set found in {budget} attempts over Z_{prime}"
     )
+
+
+def _septic_lines(tries: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel lines of a stack of 11 x 12 tries, from one stacked RREF.
+
+    Returns (lines, single): row k is the canonical kernel vector of try
+    k where that kernel is one line (single[k]), and zero elsewhere.
+    """
+    rref, mask = row_echelon(tries, p)
+    single = mask.sum(axis=1) == tries.shape[1]
+    k = np.flatnonzero(single)
+    free = np.argmin(mask[k], axis=1)
+    pivots = np.nonzero(mask[k])[1].reshape(len(k), tries.shape[1])
+    lines = np.zeros((len(tries), tries.shape[2]), dtype=np.int64)
+    lines[k[:, None], pivots] = -rref[k, :, free] % p
+    lines[k, free] = 1
+    return lines, single
+
+
+def _octic_ideal_rref(bset: PointSet) -> np.ndarray:
+    """I_B(8) = ker ev(B, 8) in reduced row echelon form, from one
+    elimination.
+
+    The canonical kernel basis of ev(B, 8) with its columns reversed has
+    its free coordinate 1 as the last nonzero entry of each vector and 0 at
+    the other free columns; reversing rows and columns back makes that
+    coordinate the leading 1 of an RREF row.
+    """
+    p = bset.ctx.p
+    r, pivots = row_echelon(evaluation_matrix(bset, 8).a[:, ::-1], p)
+    return np.array(_kernel_from_echelon(r, pivots, p))[::-1, ::-1]
 
 
 def _parameters_for_points(fam: ResidualFamily, bset: PointSet) -> np.ndarray | None:

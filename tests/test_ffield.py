@@ -262,6 +262,23 @@ def test_row_echelon_and_kernel_match_oracle(params):
             assert all(sum(int(x) * int(y) for x, y in zip(row, v)) % p == 0 for row in a)
 
 
+@pytest.mark.parametrize("p", STACK_PRIMES)
+@pytest.mark.parametrize("shape", [(1, 4, 4), (1, 3, 8), (0, 3, 4), (8, 1, 5),
+                                   (12, 3, 7), (12, 7, 3), (16, 11, 12), (6, 12, 5)])
+def test_stacked_row_echelon_matches_single_and_oracle(p, shape):
+    rng = np.random.default_rng([p % 1000, *shape, 1])
+    stack = mixed_stack(rng, p, *shape).reshape(shape)  # N = 0 included
+    before = stack.copy()
+    r, mask = row_echelon(stack, p)
+    assert r.shape == shape and mask.shape == (shape[0], shape[2]) and mask.dtype == bool
+    for a, ra, ma in zip(stack, r, mask):
+        single, piv = row_echelon(a, p)
+        rref, pivots = oracle_rref(a.tolist(), p)
+        assert np.array_equal(ra, single) and ra.tolist() == rref
+        assert np.flatnonzero(ma).tolist() == piv == pivots
+    assert np.array_equal(stack, before)
+
+
 @given(shaped, st.booleans())
 @settings(max_examples=60)
 def test_memoised_rank_and_kernel_equal_fresh(params, rank_first):

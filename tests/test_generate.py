@@ -23,6 +23,9 @@ from waringcert import (
     span_intersection_dim,
 )
 from waringcert.errors import ScanBudgetExceeded
+from waringcert import ffield as ffield_module
+from waringcert import generate as generate_module
+from waringcert import points as points_module
 from waringcert.ffield import PrimeContext, matmul_mod, rank_mod
 from waringcert.generate import (
     KNOWN_UNIDENTIFIABLE,
@@ -31,6 +34,7 @@ from waringcert.generate import (
     plane_points,
     plane_values,
     _parameters_for_points,
+    plane_index,
 )
 from waringcert.criteria import Instance
 from waringcert.polys import GradedPoly, _veronese_rows, monomial_basis
@@ -213,6 +217,16 @@ def test_plane_points_at_positions():
     assert pts[-8:].tolist() == [[0, 1, z] for z in range(7)] + [[0, 0, 1]]
 
 
+@pytest.mark.parametrize("p", (3, 5, 7, 101))
+def test_plane_index_inverts_plane_points(p):
+    ctx = PrimeContext(p)
+    pts = plane_points(p)
+    assert plane_index(PointSet(ctx, pts)).tolist() == list(range(len(pts)))
+    # any representative of a point finds its position
+    scaled = pts * (np.arange(len(pts)) % (p - 1) + 1)[:, None] % p
+    assert plane_index(PointSet(ctx, scaled)).tolist() == list(range(len(pts)))
+
+
 @pytest.mark.parametrize("p", (3, 5, 7, 101, 1009))
 def test_plane_values_match_veronese_rows(p):
     # the separable product against evaluating monomial rows point by point;
@@ -273,6 +287,34 @@ def test_rational_residual_generator_is_pinned():
 def test_unidentifiable_generator_is_pinned():
     got = tuple(generated_digest(gen_unidentifiable(s)) for s in range(len(GOLDEN_DEFAULT)))
     assert got == GOLDEN_DEFAULT
+
+
+def test_rational_generator_that_runs_out_of_tries_is_pinned():
+    # seed 74 is the only seed in 0-599 whose first point set exhausts all
+    # 80 septic tries, so the next point set must start after exactly the
+    # 80 picks of five full chunks
+    g = gen_unidentifiable(74, prime=101, rational_residual=True)
+    assert g.attempts == 100
+    assert generated_digest(g) == (
+        "881ac8d63c3d2339a3fc7e8cef9f9c3f438f6decd6fefc1ed24c46b693795d58")
+
+
+def test_rational_generator_reduces_the_witness_basis_once(monkeypatch):
+    # I_B(8) comes in reduced form from the one elimination of ev(B, 8),
+    # so no 31 x 45 basis is eliminated again
+    shapes = []
+    real = ffield_module.row_echelon
+
+    def counting(a, p):
+        shapes.append(np.shape(a))
+        return real(a, p)
+
+    for module in (ffield_module, points_module, generate_module):
+        monkeypatch.setattr(module, "row_echelon", counting)
+    g = gen_unidentifiable(3, prime=101, rational_residual=True)
+    assert generated_digest(g) == GOLDEN_RATIONAL_101[3]
+    assert (14, 45) in shapes and (31, 45) not in shapes
+    assert any(len(s) == 3 for s in shapes)
 
 
 def test_identifiable_generator_is_pinned():
