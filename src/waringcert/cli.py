@@ -42,6 +42,7 @@ from .points import hilbert_profile, kruskal_rank_detail
 from .storage import (
     build_report,
     canonical_json,
+    check_evaluation_size,
     instance_to_obj,
     load_instance,
     save_report,
@@ -140,6 +141,11 @@ def cmd_kruskal(args) -> int:
         print("error: --d must be >= 0", file=sys.stderr)
         return EXIT_INPUT
     inst, _, _ = _load(args.path)
+    try:
+        check_evaluation_size(inst.length, inst.pointset.n, args.d)
+    except InstanceFormatError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     k, examined = kruskal_rank_detail(inst.pointset, args.d)
     print(f"k_{args.d} = {k} ({examined} subsets examined)")
     return EXIT_VERDICT

@@ -58,6 +58,7 @@ from .ffield import (
 from .octic14 import (
     ResidualFamily,
     hilbert_burch,
+    ideal_past_quartic,
     normalization_check,
     residual_family,
     residual_octic_generators,
@@ -67,7 +68,7 @@ from .points import (
     evaluation_matrix,
     kruskal_rank_at_least,
 )
-from .polys import GradedPoly, mult_map, _veronese_rows
+from .polys import GradedPoly, _veronese_rows
 
 EXPECTED_IDENTIFIABLE = "expected_identifiable"
 KNOWN_UNIDENTIFIABLE = "known_unidentifiable"
@@ -350,9 +351,7 @@ def _gen_unidentifiable_rational(seed: int, prime: int,
         # I_A(7) splits as Q*S_3 plus twelve septics comp; Q*S_3 vanishes on
         # the curve, so a septic through A and candidates F is Q*h + k*comp
         # with E[F] k = 0, and the new septic is k*comp.
-        ker7 = evaluation_matrix(ps, 7).kernel_basis()
-        _, pivots = row_echelon(np.column_stack([mult_map(Q, 7).a] + ker7), p)
-        comp = np.array([ker7[c - 10] for c in pivots if c >= 10])
+        comp = np.array(ideal_past_quartic(ps, Q, 7))
         if len(comp) != 12:
             raise RuntimeError(f"I_A(7) has {len(comp)} septics beyond Q*S_3, expected 12")
         E = matmul_mod(_veronese_rows(ctx, candidates, 7), comp.T, p)

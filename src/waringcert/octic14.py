@@ -212,29 +212,37 @@ def _proportionality(f: GradedPoly, g: GradedPoly, error: str) -> int:
     return mu
 
 
+def ideal_past_quartic(A: PointSet, Q: GradedPoly, d: int) -> list[np.ndarray]:
+    """The canonical kernel vectors of ev(A, d) independent of Q * S_{d-4}
+    and of those before them: the pivots past Q * S_{d-4} in one echelon
+    form of [mult_map(Q, d) | kernel]."""
+    ker = evaluation_matrix(A, d).kernel_basis()
+    qs = mult_map(Q, d).a
+    _, pivots = row_echelon(np.column_stack([qs] + ker), A.ctx.p)
+    return [ker[c - qs.shape[1]] for c in pivots if c >= qs.shape[1]]
+
+
 def hilbert_burch(A: PointSet) -> HilbertBurch:
     """Ideal generators and the syzygy matrix of the fourteen points.
 
     The quintic generators are the first four canonical kernel vectors
     of the degree-5 evaluation matrix that are independent of the
-    quartic multiples and of the vectors before them (the pivot columns
-    of one echelon form), and the columns of M are the canonical kernel
-    basis of the degree-6 relation map (f, g1..g4) -> f*Q + sum_j g_j * Q_j,
-    so the whole structure is reproducible bit for bit.
+    quartic multiples and of the vectors before them (ideal_past_quartic),
+    and the columns of M are the canonical kernel basis of the degree-6
+    relation map (f, g1..g4) -> f*Q + sum_j g_j * Q_j, so the whole
+    structure is reproducible bit for bit.
     """
     ctx = A.ctx
     p = ctx.p
     Q = unique_quartic(A)
-    ker5 = evaluation_matrix(A, 5).kernel_basis()
-    xQ = mult_map(Q, 5).a  # columns are x0*Q, x1*Q, x2*Q
-    _, pivots = row_echelon(np.column_stack([xQ] + ker5), p)
-    quintics = [GradedPoly(ctx, monomial_basis(2, 5), ker5[c - 3])
-                for c in pivots if c >= 3][:4]
-    if len(quintics) != 4:
+    past = ideal_past_quartic(A, Q, 5)
+    if len(past) < 4:
+        # x0*Q, x1*Q and x2*Q are independent, so they add three dimensions
         raise SyzygyDimension(
-            f"degree-5 ideal piece spans only {len(pivots)} dimensions with the "
+            f"degree-5 ideal piece spans only {3 + len(past)} dimensions with the "
             "quartic multiples, expected 7"
         )
+    quintics = [GradedPoly(ctx, monomial_basis(2, 5), v) for v in past[:4]]
     phi = np.hstack([mult_map(Q, 6).a] + [mult_map(q, 6).a for q in quintics])
     syz = kernel_mod(phi, p)
     if len(syz) != 4:

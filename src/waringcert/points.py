@@ -7,8 +7,9 @@ C(j+n, n) columns of ev(Z, D) are ev(Z, j) up to row scaling by
 x0^(D-j) (monomials lex-descending), so one elimination gives h_Z(0..D);
 hilbert_profile shears where x0 meets Z.  Also here: first differences,
 the h^1 defect ell(Z) - h_Z(d), Kruskal ranks (at the column count by
-one sweep over maximal minors, below it by subset enumeration), the
-Cayley-Bacharach predicate, and intersection dimensions of Veronese spans.
+one sweep over maximal minors on the Laplace tables of polys, below it
+by subset enumeration), the Cayley-Bacharach predicate, and
+intersection dimensions of Veronese spans.
 
 Two coordinate tuples are the same projective point iff their
 canonical representatives (first nonzero coordinate scaled to 1) agree;
@@ -20,7 +21,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, combinations, count, islice
 from math import comb
 
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import DuplicatePoint, ZeroPoint
 from .ffield import (DenseMatrix, PrimeContext, _kernel_from_echelon, kernel_mod,
                      matmul_mod, rank_mod, row_echelon)
-from .polys import _veronese_rows
+from .polys import _laplace_level, _veronese_rows
 
 
 def projectively_equal(u, v, p: int) -> bool:
@@ -229,25 +230,6 @@ _SUBSET_CHUNK_ENTRIES = 2**13
 _SWEEP_ENTRIES = 2**16
 
 
-@lru_cache(maxsize=32)
-def _laplace_level(ell: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables of level t of the minor sweep over ell columns: the
-    t-subsets in combinations() order, and for each subset and position s
-    the combinations() index of the subset without its s-th member."""
-    subs = np.array(list(combinations(range(ell), t)), dtype=np.int64).reshape(-1, t)
-    # lex index of a (t-1)-subset: C(ell, t-1) - 1 - the colex index of
-    # its mirror image ell - 1 - a, read in ascending order
-    binom = np.array([[comb(n, i) for i in range(1, t)] for n in range(ell)],
-                     dtype=np.int64).reshape(ell, t - 1)
-    below = np.empty_like(subs)
-    for s in range(t):
-        mirror = ell - 1 - np.delete(subs, s, axis=1)[:, ::-1]
-        below[:, s] = comb(ell, t - 1) - 1 - binom[mirror, np.arange(t - 1)].sum(axis=1)
-    subs.setflags(write=False)
-    below.setflags(write=False)
-    return subs, below
-
-
 def _maximal_minors_mod(a: np.ndarray, p: int) -> np.ndarray:
     """The r x r minors of an r x ell matrix over Z_p, one per column
     subset in combinations() order: the numeric twin of
@@ -346,8 +328,11 @@ def kruskal_rank_at_least(Z: PointSet, d: int, k: int) -> bool:
 
     A pass at the cap min(C(n+d, n), ell) proves the exact rank and is
     cached as such; a failure is remembered apart from exact ranks (see
-    kruskal_failure), so asking again eliminates nothing.
+    kruskal_failure), so asking again eliminates nothing.  Every k <= 0
+    holds, since k_d(Z) >= 0.
     """
+    if k <= 0:
+        return True
     cached = Z._kruskal_cache.get(d)
     if cached is not None:
         return cached[0] >= k

@@ -9,6 +9,9 @@ The pairing convention is plain monomial evaluation with no multinomial
 weights: dot(F.coeffs, veronese_vector(P, d)) == F(P) for every form F
 of degree d.  Everything downstream (evaluation matrices, ideal pieces,
 orthogonality of a form to an ideal) relies on exactly this contract.
+
+Maximal minors are expanded level by level on the Laplace index tables
+of _laplace_level, shared with the numeric sweep in points.
 """
 
 from __future__ import annotations
@@ -258,77 +261,75 @@ def _product_scatter(n: int, a: int, b: int) -> np.ndarray:
 
 def _row_products(n: int, a: int, b: int, f: np.ndarray, g: np.ndarray,
                   p: int) -> np.ndarray:
-    """Row-wise products of N degree-a forms f (N x size a) with N
-    degree-b forms g (N x size b), as an N x size(a + b) array mod p.
+    """Entrywise products of degree-a forms f (... x size a) with degree-b
+    forms g (... x size b) over the same leading axes, mod p.
 
     The pairwise coefficient products are reduced first and then summed
     into their monomials by a 0/1 scatter matrix.  An output entry sums
     at most min(size a, size b) residues, so it stays exact in int64 for
     every p < 2**31.
     """
-    pairs = f[:, :, None] * g[:, None, :] % p
-    return pairs.reshape(len(f), -1) @ _product_scatter(n, a, b) % p
+    pairs = f[..., :, None] * g[..., None, :] % p
+    return pairs.reshape(*f.shape[:-1], -1) @ _product_scatter(n, a, b) % p
 
 
-def _det_degree_consistent(degrees: list[list[int]]) -> bool:
-    # det is homogeneous iff deg[i][j] decomposes as row + column degrees,
-    # equivalently all 2x2 cross sums agree.
-    for i in range(1, len(degrees)):
-        for j in range(1, len(degrees[0])):
-            if degrees[i][j] + degrees[0][0] != degrees[i][0] + degrees[0][j]:
-                return False
-    return True
+@lru_cache(maxsize=32)
+def _laplace_level(ell: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of level t of the minor sweep over ell columns: the
+    t-subsets in combinations() order, and for each subset and position s
+    the combinations() index of the subset without its s-th member."""
+    subs = np.array(list(combinations(range(ell), t)), dtype=np.int64).reshape(-1, t)
+    # lex index of a (t-1)-subset: C(ell, t-1) - 1 - the colex index of
+    # its mirror image ell - 1 - a, read in ascending order
+    binom = np.array([[comb(n, i) for i in range(1, t)] for n in range(ell)],
+                     dtype=np.int64).reshape(ell, t - 1)
+    below = np.empty_like(subs)
+    for s in range(t):
+        mirror = ell - 1 - np.delete(subs, s, axis=1)[:, ::-1]
+        below[:, s] = comb(ell, t - 1) - 1 - binom[mirror, np.arange(t - 1)].sum(axis=1)
+    subs.setflags(write=False)
+    below.setflags(write=False)
+    return subs, below
 
 
 def maximal_minors(entries: list[list[GradedPoly]]) -> dict[tuple[int, ...], GradedPoly]:
     """The k x k minors of a k x m array of forms (k <= m), keyed by their
     column subset in combinations() order.
 
-    Entry degrees must split into row plus column degrees so every
-    permutation product lands in one degree.  The minors of the bottom r
-    rows are computed for every column subset at once, one level r at a
-    time, each by expanding along its top row: a level costs one batched
-    product per (entry degree, minor degree) pair, and no minor is
-    expanded twice.
+    Entry degrees must split into row plus column degrees.  Column j is
+    multiplied by x0^pad_j (the largest column degree less its own) at
+    row 0 of product_table, x0^e being the first monomial of its basis, so
+    each row has one degree; by multilinearity the minor on S comes out
+    times x0^pad(S) and is read back the same way.  Level t expands the
+    minors of the bottom t rows along their top row on the _laplace_level
+    tables, one batched product per level, with no minor expanded twice.
     """
     k, m = len(entries), (len(entries[0]) if entries else 0)
     if not 0 < k <= m or any(len(row) != m for row in entries):
         raise ValueError("need a k x m array of forms with 0 < k <= m")
-    ctx = entries[0][0].ctx
-    n = entries[0][0].n
-    p = ctx.p
-    degs = [[e.degree for e in row] for row in entries]
-    if not _det_degree_consistent(degs):
-        raise InhomogeneousDeterminant(f"entry degrees {degs} are not consistent")
-    col = [degs[0][j] - degs[0][0] for j in range(m)]
-
-    def degree(top: int, cols: tuple[int, ...]) -> int:
-        """Degree of the minor on rows top..k-1 and the given columns."""
-        return sum(degs[r][0] for r in range(top, k)) + sum(col[c] for c in cols)
-
-    # column subset -> minor of the bottom rows on those columns
-    minors = {(j,): entries[k - 1][j].coeffs for j in range(m)}
-    for i in range(k - 2, -1, -1):
-        subsets = list(combinations(range(m), k - i))
-        # (entry degree, minor degree) -> [(subset, odd position, entry, minor)]
-        groups: dict[tuple[int, int], list] = {}
-        for s, cols in enumerate(subsets):
-            for t, j in enumerate(cols):
-                rest = cols[:t] + cols[t + 1:]
-                groups.setdefault((degs[i][j], degree(i + 1, rest)), []).append(
-                    (s, t % 2, entries[i][j].coeffs, minors[rest]))
-        acc: dict[int, np.ndarray] = {}
-        for (a, b), terms in groups.items():
-            target, odd, f, g = zip(*terms)
-            prod = _row_products(n, a, b, np.array(f), np.array(g), p)
-            # signed incidence of terms in subsets: sums at most k residues
-            signs = np.zeros((len(subsets), len(terms)), dtype=np.int64)
-            signs[target, np.arange(len(terms))] = np.where(odd, -1, 1)
-            acc[a + b] = acc.get(a + b, 0) + signs @ prod
-        acc = {d: v % p for d, v in acc.items()}
-        minors = {cols: acc[degree(i, cols)][s] for s, cols in enumerate(subsets)}
-    return {cols: GradedPoly(ctx, monomial_basis(n, degree(0, cols)), v)
-            for cols, v in minors.items()}
+    ctx, n = entries[0][0].ctx, entries[0][0].n
+    if any(e.n != n for row in entries for e in row):
+        raise DegreeMismatch("mixed variable counts")
+    if any(e.ctx.p != ctx.p for row in entries for e in row):
+        raise ValueError("entries over different primes")
+    degs = np.array([[e.degree for e in row] for row in entries], dtype=np.int64)
+    pads = degs.max(axis=1, keepdims=True) - degs
+    if np.any(pads != pads[0]):
+        raise InhomogeneousDeterminant(f"entry degrees {degs.tolist()} are not consistent")
+    pad, p = pads[0].tolist(), ctx.p
+    minors, b = np.ones((1, 1), dtype=np.int64), 0
+    for t, row in enumerate(reversed(entries), 1):
+        a = row[0].degree + pad[0]
+        f = np.zeros((m, monomial_basis(n, a).size), dtype=np.int64)
+        for j, e in enumerate(row):
+            f[j, product_table(n, pad[j], e.degree)[0]] = e.coeffs
+        subs, below = _laplace_level(m, t)
+        prod = _row_products(n, a, b, f[subs], minors[below], p)
+        minors = (prod[:, 0::2].sum(axis=1) - prod[:, 1::2].sum(axis=1)) % p
+        b += a
+    shifts = [sum(pad[c] for c in cols) for cols in combinations(range(m), k)]
+    return {cols: GradedPoly(ctx, monomial_basis(n, b - e), v[product_table(n, e, b - e)[0]])
+            for cols, v, e in zip(combinations(range(m), k), minors, shifts)}
 
 
 def det_poly(entries: list[list[GradedPoly]]) -> GradedPoly:

@@ -27,8 +27,8 @@ INSTANCE_FIELDS = ("prime", "n", "degree", "points", "lambda")
 
 # Largest evaluation matrix an instance may ask for: ell * C(n+d, n)
 # entries, 2**18 of them or 2 MiB of int64.  Every criterion starts from
-# this matrix, so parse_instance checks the bound before any monomial
-# basis is built.  The shipped fixtures need 630 entries.
+# this matrix, so parse_instance and the kruskal command check the bound
+# before any monomial basis is built.  The shipped fixtures need 630 entries.
 MAX_EVALUATION_ENTRIES = 2**18
 
 
@@ -43,6 +43,15 @@ def sha256_hex(data: bytes) -> str:
 def _expect(cond: bool, msg: str):
     if not cond:
         raise InstanceFormatError(msg)
+
+
+def check_evaluation_size(ell: int, n: int, d: int) -> None:
+    """Refuse ell points in degree d when ev(Z, d) would exceed the bound;
+    C(n+d, n) >= 2**min(n, d), so the first test keeps math.comb small."""
+    _expect(min(n, d) < MAX_EVALUATION_ENTRIES.bit_length()
+            and ell * comb(n + d, n) <= MAX_EVALUATION_ENTRIES,
+            f"{ell} points in degree {d} need more than "
+            f"{MAX_EVALUATION_ENTRIES} evaluation entries (ell * C(n+d, n))")
 
 
 def parse_instance(text: str) -> tuple[Instance, dict]:
@@ -86,11 +95,7 @@ def parse_instance(text: str) -> tuple[Instance, dict]:
             "field 'lambda' must contain only integers")
     metadata = obj.get("metadata", {})
     _expect(isinstance(metadata, dict), "field 'metadata' must be an object")
-    # C(n+d, n) >= 2**min(n, d), so the first test keeps math.comb small
-    _expect(min(n, degree) < MAX_EVALUATION_ENTRIES.bit_length()
-            and len(points) * comb(n + degree, n) <= MAX_EVALUATION_ENTRIES,
-            f"{len(points)} points in degree {degree} need more than "
-            f"{MAX_EVALUATION_ENTRIES} evaluation entries (ell * C(n+d, n))")
+    check_evaluation_size(len(points), n, degree)
     try:
         ps = PointSet(ctx, points)
         inst = Instance(ps, degree, [c % ctx.p for c in lam])

@@ -330,6 +330,16 @@ def test_kruskal_at_least_gate(ctx):
     assert not kruskal_rank_at_least(z, 1, 4)  # above the hard cap
 
 
+def test_kruskal_at_least_holds_for_nonpositive_floors(ctx, monkeypatch):
+    # k_d(Z) >= 0 always, so floors 0 and below are answered without
+    # evaluating, enumerating or caching anything
+    z = line_points(ctx, [0, 1, 2])
+    monkeypatch.setattr(points_module, "evaluation_matrix", no_elimination)
+    for k in (0, -1, -5):
+        assert kruskal_rank_at_least(z, 1, k)
+    assert z._kruskal_cache == {} and kruskal_failure(z, 1) is None
+
+
 def test_kruskal_brute_force_agreement(ctx):
     # exhaustive oracle: largest k with every k-subset of full row rank
     from itertools import combinations

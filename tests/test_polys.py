@@ -193,9 +193,9 @@ def random_form(rng, ctx, n, d, zero_share=0.0):
     return GradedPoly(ctx, b, rng.integers(0, ctx.p, size=b.size))
 
 
-def random_array(rng, ctx, k, m, row_degs, col_degs, zero_share=0.0, zero_row=None):
-    return [[GradedPoly.zero(ctx, 2, row_degs[i] + col_degs[j]) if i == zero_row
-             else random_form(rng, ctx, 2, row_degs[i] + col_degs[j], zero_share)
+def random_array(rng, ctx, k, m, row_degs, col_degs, zero_share=0.0, zero_row=None, n=2):
+    return [[GradedPoly.zero(ctx, n, row_degs[i] + col_degs[j]) if i == zero_row
+             else random_form(rng, ctx, n, row_degs[i] + col_degs[j], zero_share)
              for j in range(m)] for i in range(k)]
 
 
@@ -224,13 +224,22 @@ def test_det_poly_matches_cofactor_oracle(p, k):
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_maximal_minors_are_the_column_subset_determinants(p):
+    # k < m with mixed row and column degrees: every subset's minor is
+    # checked against the cofactor oracle on its own columns
     ctx = PrimeContext(p)
     rng = np.random.default_rng(p % 997)
-    entries = random_array(rng, ctx, 3, 5, [1, 0, 2], [0, 1, 0, 1, 1])
-    minors = maximal_minors(entries)
-    assert list(minors) == list(combinations(range(5), 3))
-    for cols, minor in minors.items():
-        assert minor == det_poly([[row[c] for c in cols] for row in entries])
+    cases = [(2, 3, 5, [1, 0, 2], [0, 1, 0, 1, 1])] + [
+        (n, k, m, [int(x) for x in rng.integers(0, 2, size=k)],
+         [int(x) for x in rng.integers(0, 3, size=m)])
+        for n in (1, 3) for k, m in ((2, 4), (3, 4))]
+    for n, k, m, row_degs, col_degs in cases:
+        entries = random_array(rng, ctx, k, m, row_degs, col_degs, n=n)
+        minors = maximal_minors(entries)
+        assert list(minors) == list(combinations(range(m), k))
+        for cols, minor in minors.items():
+            square = [[as_terms(row[c]) for c in cols] for row in entries]
+            assert minor.degree == sum(row_degs) + sum(col_degs[c] for c in cols)
+            assert as_terms(minor) == terms_det(square, p)
 
 
 def test_det_poly_inhomogeneous_and_shape_errors(ctx):
@@ -240,10 +249,22 @@ def test_det_poly_inhomogeneous_and_shape_errors(ctx):
         entries[k - 1][k - 1] = random_form(rng, ctx, 2, 2)
         with pytest.raises(InhomogeneousDeterminant):
             det_poly(entries)
+    entries = random_array(rng, ctx, 2, 3, [0, 0], [0, 1, 0])
+    entries[1][2] = random_form(rng, ctx, 2, 1)  # the first two columns split
+    with pytest.raises(InhomogeneousDeterminant):
+        maximal_minors(entries)
     with pytest.raises(ValueError):
         det_poly(random_array(rng, ctx, 2, 3, [1, 1], [0, 0, 0]))
     with pytest.raises(ValueError):
         maximal_minors(random_array(rng, ctx, 3, 2, [1, 1, 1], [0, 0]))
+    mixed_n = random_array(rng, ctx, 2, 3, [1, 1], [0, 0, 0])
+    mixed_n[1][2] = random_form(rng, ctx, 3, 1)
+    with pytest.raises(DegreeMismatch):
+        maximal_minors(mixed_n)
+    mixed_p = random_array(rng, ctx, 2, 3, [1, 1], [0, 0, 0])
+    mixed_p[0][1] = random_form(rng, PrimeContext(101), 2, 1)
+    with pytest.raises(ValueError, match="different primes"):
+        maximal_minors(mixed_p)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)

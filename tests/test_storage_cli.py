@@ -285,6 +285,17 @@ def test_kruskal_command_reference():
     assert "k_3 = 10" in res.stdout and "1001 subsets" in res.stdout
 
 
+@pytest.mark.parametrize("d", (193, 10**5))
+def test_kruskal_command_refuses_oversized_degree(d):
+    # T1 needs 14 * C(d+2, 2) entries: 262,094 at d = 192 fit the bound
+    # and 264,810 at d = 193 do not; no degree-d basis is built to refuse
+    t0 = time.perf_counter()
+    res = run_cli("kruskal", str(FIXTURES / "optics_T1.json"), "--d", str(d))
+    assert res.returncode == 2
+    assert "evaluation entries" in res.stderr
+    assert time.perf_counter() - t0 < 10
+
+
 def test_kruskal_command_empty_points(tmp_path):
     bad = tmp_path / "empty.json"
     bad.write_text('{"prime": 31991, "n": 2, "degree": 3, "points": [], "lambda": []}')
