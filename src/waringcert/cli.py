@@ -40,6 +40,7 @@ from .octic14 import (
 )
 from .points import hilbert_profile, kruskal_rank_detail
 from .storage import (
+    MAX_EVALUATION_ENTRIES,
     build_report,
     canonical_json,
     check_evaluation_size,
@@ -119,8 +120,10 @@ def cmd_gen(args) -> int:
 
 def cmd_hilbert(args) -> int:
     j_max = args.max_degree
-    if j_max is not None and j_max < 0:
-        print("error: --max-degree must be >= 0", file=sys.stderr)
+    # the table has j_max + 1 columns, though h_Z is constant from ell - 1
+    if j_max is not None and not 0 <= j_max <= MAX_EVALUATION_ENTRIES:
+        bound = ">= 0" if j_max < 0 else f"<= {MAX_EVALUATION_ENTRIES}"
+        print(f"error: --max-degree must be {bound}", file=sys.stderr)
         return EXIT_INPUT
     inst, _, _ = _load(args.path)
     ps = inst.pointset

@@ -137,7 +137,8 @@ def reshaped_kruskal_certify(inst: Instance,
     Otherwise the ranks are found in order, each by descending from its
     cap to the floor f_i = 2*ell(A) + 2 - (the ranks already found) -
     (the caps still to come); a rank below its floor ends the split with
-    evidence "<f_i" and the upper bound (2*ell(A) - 1)/2.
+    evidence "<f_i" and the upper bound (2*ell(A) - 1)/2.  Splits that
+    share a degree read the levels already decided from the point set.
     """
     d = inst.degree
     if d < 3:
@@ -150,7 +151,6 @@ def reshaped_kruskal_certify(inst: Instance,
     ell = inst.length
     n = inst.pointset.n
     evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
-    found: dict[int, int] = {}  # degree -> exact Kruskal rank
     best = None
     for s in splits:
         name = "_".join(map(str, s))
@@ -163,12 +163,10 @@ def reshaped_kruskal_certify(inst: Instance,
             ks: list[int] = []
             for i, di in enumerate(s):
                 floor = 2 * ell + 2 - sum(ks) - sum(caps[i + 1:])
-                k = found.get(di) or next(
-                    (k for k in range(caps[i], max(floor, 1) - 1, -1)
-                     if kruskal_rank_at_least(inst.pointset, di, k)), None)
-                if k is None or k < floor:
+                k = next((k for k in range(caps[i], max(floor, 1) - 1, -1)
+                          if kruskal_rank_at_least(inst.pointset, di, k)), None)
+                if k is None:
                     break
-                found[di] = k
                 ks.append(k)
             if len(ks) == 3:
                 # each rank met its floor, so the sum reaches 2*ell(A) + 2

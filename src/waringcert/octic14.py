@@ -64,7 +64,7 @@ from .ffield import (
 from .points import (
     PointSet,
     evaluation_matrix,
-    kruskal_failure,
+    kruskal_level,
     kruskal_rank_at_least,
     kruskal_rank_detail,
 )
@@ -173,11 +173,11 @@ def check_preconditions(inst: Instance) -> tuple:
     if h4 != 14:
         raise PreconditionFailed(2, h4, f"h_A(4) = {h4} != 14")
     if not kruskal_rank_at_least(A, 3, 10):
-        floor, examined, subset = kruskal_failure(A, 3)
+        examined, subset = kruskal_level(A, 3, 10)
         raise PreconditionFailed(
-            3, subset, f"k_3(A) < {floor}: the {floor}-subset {subset} is "
+            3, subset, f"k_3(A) < 10: the 10-subset {subset} is "
                        f"dependent (subset {examined} in combinations order)")
-    # the passed floor is the cap, so the exact rank is cached
+    # 10 is the cap, so the exact rank reads the level just decided
     k3, examined = kruskal_rank_detail(A, 3)
     return (
         ("rank_ev8", r8),

@@ -6,10 +6,11 @@ points; its kernel is the degree-j piece of the ideal of Z.  The first
 C(j+n, n) columns of ev(Z, D) are ev(Z, j) up to row scaling by
 x0^(D-j) (monomials lex-descending), so one elimination gives h_Z(0..D);
 hilbert_profile shears where x0 meets Z.  Also here: first differences,
-the h^1 defect ell(Z) - h_Z(d), Kruskal ranks (at the column count by
-one sweep over maximal minors on the Laplace tables of polys, below it
-by subset enumeration), the Cayley-Bacharach predicate, and
-intersection dimensions of Veronese spans.
+the h^1 defect ell(Z) - h_Z(d), Kruskal ranks (memoised per degree
+and subset size; at the column count by one sweep over maximal minors
+on the Laplace tables of polys, below it by subset enumeration), the
+Cayley-Bacharach predicate, and intersection dimensions of Veronese
+spans.
 
 Two coordinate tuples are the same projective point iff their
 canonical representatives (first nonzero coordinate scaled to 1) agree;
@@ -60,13 +61,12 @@ class PointSet:
 
     Coordinate representatives are fixed at construction (reduced mod p)
     and the order is meaningful for reporting.  Floats, complex numbers
-    and bools are refused with TypeError.  Evaluation matrices,
-    Kruskal ranks and failed Kruskal floors are cached per degree since
-    the value is immutable.
+    and bools are refused with TypeError.  Evaluation matrices are cached
+    per degree and Kruskal levels per (degree, subset size), since the
+    value is immutable.
     """
 
-    __slots__ = ("ctx", "n", "points", "_ev_cache", "_kruskal_cache",
-                 "_kruskal_failures")
+    __slots__ = ("ctx", "n", "points", "_ev_cache", "_kruskal_levels")
 
     def __init__(self, ctx: PrimeContext, points):
         def residue(c):  # operator.index refuses floats and numpy bools
@@ -91,8 +91,7 @@ class PointSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "_ev_cache", {})
-        object.__setattr__(self, "_kruskal_cache", {})
-        object.__setattr__(self, "_kruskal_failures", {})
+        object.__setattr__(self, "_kruskal_levels", {})
 
     def __setattr__(self, *_):
         raise AttributeError("PointSet is immutable")
@@ -289,75 +288,67 @@ def _first_dependent_subset(mat: np.ndarray, p: int, k: int):
         examined += len(chunk)
 
 
+def _kruskal_cap(Z: PointSet, d: int) -> int:
+    """min(C(n+d, n), ell): no larger subset of ell points in C(n+d, n)
+    coordinates can be independent."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    return min(comb(Z.n + d, Z.n), len(Z))
+
+
+def kruskal_level(Z: PointSet, d: int, k: int) -> tuple[int, tuple[int, ...] | None]:
+    """(k-subsets examined, first dependent k-subset or None) for the
+    degree-d Veronese images of Z, for 1 <= k <= min(C(n+d, n), ell).
+
+    The record is memoised on Z per (d, k), so every Kruskal query that
+    reads it again eliminates nothing.
+    """
+    record = Z._kruskal_levels.get((d, k))
+    if record is None:
+        cap = _kruskal_cap(Z, d)
+        if not 1 <= k <= cap:
+            raise ValueError(f"subset size {k} is outside 1..{cap}")
+        record = _first_dependent_subset(evaluation_matrix(Z, d).a, Z.ctx.p, k)
+        Z._kruskal_levels[(d, k)] = record
+    return record
+
+
 def kruskal_rank(Z: PointSet, d: int) -> int:
     """Largest k such that every k-subset of the degree-d Veronese images
-    is linearly independent.
-
-    Searches downward from min(C(n+d, n), ell): generic sets pass the
-    first candidate, and once all k-subsets are independent every smaller
-    subset is too.
-    """
+    is linearly independent."""
     return kruskal_rank_detail(Z, d)[0]
 
 
 def kruskal_rank_detail(Z: PointSet, d: int) -> tuple[int, int]:
-    """(kruskal rank, number of subsets examined)."""
-    cached = Z._kruskal_cache.get(d)
-    if cached is not None:
-        return cached
-    mat = evaluation_matrix(Z, d).a
-    p = Z.ctx.p
-    kmax = min(mat.shape[1], len(Z))
+    """(kruskal rank, subsets examined over its levels).
+
+    Searches downward from the cap: generic sets pass the first level,
+    and once all k-subsets are independent every smaller subset is too.
+    """
     examined = 0
-    result = None
-    for k in range(kmax, 0, -1):
-        n_checked, witness = _first_dependent_subset(mat, p, k)
+    for k in range(_kruskal_cap(Z, d), 0, -1):
+        n_checked, witness = kruskal_level(Z, d, k)
         examined += n_checked
         if witness is None:
-            result = (k, examined)
-            break
-    if result is None:
-        result = (0, examined)
-    Z._kruskal_cache[d] = result
-    return result
+            return k, examined
+    return 0, examined
 
 
 def kruskal_rank_at_least(Z: PointSet, d: int, k: int) -> bool:
-    """Fast gate for k_d(Z) >= k: stops at the first dependent subset
-    instead of descending to the exact rank.
-
-    A pass at the cap min(C(n+d, n), ell) proves the exact rank and is
-    cached as such; a failure is remembered apart from exact ranks (see
-    kruskal_failure), so asking again eliminates nothing.  Every k <= 0
-    holds, since k_d(Z) >= 0.
-    """
+    """Gate for k_d(Z) >= k: decides level k alone instead of descending
+    to the exact rank.  Every k <= 0 holds, and a level above k that
+    already passed answers without eliminating.  A failure is never
+    inferred from a lower level, so it always leaves the record of level
+    k, whose dependent subset precondition 3 reports."""
     if k <= 0:
         return True
-    cached = Z._kruskal_cache.get(d)
-    if cached is not None:
-        return cached[0] >= k
-    failed = Z._kruskal_failures.get(d)
-    if failed is not None and failed[0] <= k:
-        return False
-    mat = evaluation_matrix(Z, d).a
-    kmax = min(mat.shape[1], len(Z))
-    if k > kmax:
-        return False
-    examined, witness = _first_dependent_subset(mat, Z.ctx.p, k)
-    if witness is not None:
-        Z._kruskal_failures[d] = (k, examined, witness)
-        return False
-    if k == kmax:
-        # the gate already proved the maximum, so remember it
-        Z._kruskal_cache[d] = (k, examined)
-    return True
-
-
-def kruskal_failure(Z: PointSet, d: int) -> tuple[int, int, tuple[int, ...]] | None:
-    """The lowest floor f at which kruskal_rank_at_least(Z, d, f) failed,
-    the subsets it examined and the dependent f-subset that ended it, or
-    None when no floor has failed."""
-    return Z._kruskal_failures.get(d)
+    if (d, k) not in Z._kruskal_levels:
+        if k > _kruskal_cap(Z, d):
+            return False
+        if any(e == d and j > k and witness is None
+               for (e, j), (_, witness) in Z._kruskal_levels.items()):
+            return True
+    return kruskal_level(Z, d, k)[1] is None
 
 
 def cb_check(Z: PointSet, d: int) -> bool:

@@ -16,6 +16,8 @@ from waringcert import (
     reshaped_kruskal_certify,
     run_criteria,
 )
+from waringcert import criteria as criteria_module
+from waringcert import points as points_module
 from waringcert.criteria import admissible_splits, check_nonredundant
 from waringcert.errors import BadSplit, NotConcise, RedundancyDetected
 
@@ -68,26 +70,30 @@ def test_kruskal_records_cap_bounds_at_14(t1):
     assert not any(key.startswith("kruskal_bound_") for key in ev)
 
 
-def test_cap_first_criteria_compute_no_kruskal_rank():
+def no_subsets(*_):
+    raise AssertionError("a Kruskal level was enumerated")
+
+
+def test_cap_first_criteria_compute_no_kruskal_rank(monkeypatch):
     # r = 14 is past range's cap 13 and every split's cap bound, so the
     # verdict follows from the caps before any subset is enumerated
     from waringcert.fixtures import reference_instance
 
     inst = reference_instance()
+    monkeypatch.setattr(points_module, "_first_dependent_subset", no_subsets)
     cert = range_certify(inst)
     assert cert.evidence_dict()["skipped"] == "kruskal_3: r = 14 > rank_cap = 13"
     assert reshaped_kruskal_certify(inst).verdict == "inconclusive"
-    assert inst.pointset._kruskal_cache == {}
 
 
-def test_ranger_odd_degree_over_cap_skips_kruskal(ctx):
+def test_ranger_odd_degree_over_cap_skips_kruskal(ctx, monkeypatch):
     # degree 7: cap 12, so 13 points are decided by the cap alone
     rng = np.random.default_rng(12)
     inst = random_instance(ctx, rng, 13, 7)
+    monkeypatch.setattr(points_module, "_first_dependent_subset", no_subsets)
     cert = ranger_certify(inst)
     assert cert.verdict == "inconclusive"
     assert cert.evidence_dict()["rank_cap"] == 12
-    assert inst.pointset._kruskal_cache == {}
 
 
 def test_range_stops_at_the_floor_on_a_collinear_tail(ctx):
@@ -122,6 +128,33 @@ def test_reshaped_kruskal_stops_at_its_floors_on_a_collinear_tail(ctx):
     assert ev["kruskal_bound_5_5_2"] == "(<19+21+6-2)/2 < 22"
     assert ev["kruskal_bound_6_5_1"] == "(<22+21+3-2)/2 < 22"
     assert cert.reason == "ell(A) = 22 exceeds every split bound (best 43/2)"
+
+
+def test_reshaped_kruskal_decides_each_level_once_across_splits(ctx, monkeypatch):
+    # 5+4+3 and 5+5+2 both descend k_5 from its cap 21: the second split
+    # reads the level the first one decided from the point set
+    rng = np.random.default_rng(0)
+    pts = [tuple(int(c) for c in row) for row in rng.integers(1, ctx.p, size=(14, 3))]
+    pts += [(1, t, 0) for t in range(1, 9)]
+    inst = Instance(PointSet(ctx, pts), 12, rng.integers(1, ctx.p, size=22))
+    asked, decided = [], []
+    at_least, first_dependent = (criteria_module.kruskal_rank_at_least,
+                                 points_module._first_dependent_subset)
+
+    def asking(Z, d, k):
+        asked.append((d, k))
+        return at_least(Z, d, k)
+
+    def deciding(mat, p, k):
+        decided.append((mat.shape[1], k))
+        return first_dependent(mat, p, k)
+
+    monkeypatch.setattr(criteria_module, "kruskal_rank_at_least", asking)
+    monkeypatch.setattr(points_module, "_first_dependent_subset", deciding)
+    cert = reshaped_kruskal_certify(inst)
+    assert cert.evidence_dict()["kruskal_bound_5_5_2"] == "(<19+21+6-2)/2 < 22"
+    assert asked.count((5, 21)) == 2 and decided.count((21, 21)) == 1
+    assert len(set(decided)) == len(decided)
 
 
 def load_bench_oracle():

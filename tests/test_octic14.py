@@ -144,6 +144,31 @@ def test_precondition_collinear_kruskal(ctx):
     assert_dependent_ten_subset(inst.pointset, err.value)
 
 
+def test_precondition_three_after_an_exact_kruskal_rank():
+    # the first p = 101 generator draw has k_3 = 9; asking for the exact
+    # rank first must not change what precondition 3 reports
+    from waringcert import PrimeContext, kruskal_rank, run_criteria
+    from waringcert.generate import _rng, _sample_pointset
+    from waringcert.storage import build_report
+
+    z = _sample_pointset(PrimeContext(101), _rng(0, 0))
+    lam = list(range(1, 15))
+
+    def octic14_alone(inst):
+        cert = certify_octic14(inst)
+        return cert, [("octic14", cert)]
+
+    for check in (octic14_alone, run_criteria):
+        asked = Instance(PointSet(z.ctx, z.points), 8, lam)
+        assert kruskal_rank(asked.pointset, 3) == 9
+        got = check(asked)
+        fresh = check(Instance(PointSet(z.ctx, z.points), 8, lam))
+        octic = dict(got[1])["octic14"]
+        assert octic.verdict == "degenerate" and dict(octic.evidence)["failed_test"] == 3
+        assert got == fresh
+        assert build_report(*got, {}, "")["digest"] == build_report(*fresh, {}, "")["digest"]
+
+
 # -------------------------------------------------------------- unique quartic
 
 def test_unique_quartic_vanishes_on_points(ref_points, hb):

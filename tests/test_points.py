@@ -23,7 +23,7 @@ from waringcert.errors import DuplicatePoint, ZeroPoint
 from waringcert.fixtures import reference_instance, reference_pointset, six_point_sets
 from waringcert import points as points_module
 from waringcert.ffield import rank_mod
-from waringcert.points import kruskal_failure, kruskal_rank_at_least, projectively_equal
+from waringcert.points import kruskal_level, kruskal_rank_at_least, projectively_equal
 
 from conftest import random_pointset
 from test_ffield import oracle_rank
@@ -332,12 +332,12 @@ def test_kruskal_at_least_gate(ctx):
 
 def test_kruskal_at_least_holds_for_nonpositive_floors(ctx, monkeypatch):
     # k_d(Z) >= 0 always, so floors 0 and below are answered without
-    # evaluating, enumerating or caching anything
+    # evaluating or enumerating anything
     z = line_points(ctx, [0, 1, 2])
     monkeypatch.setattr(points_module, "evaluation_matrix", no_elimination)
+    monkeypatch.setattr(points_module, "_first_dependent_subset", no_elimination)
     for k in (0, -1, -5):
         assert kruskal_rank_at_least(z, 1, k)
-    assert z._kruskal_cache == {} and kruskal_failure(z, 1) is None
 
 
 def test_kruskal_brute_force_agreement(ctx):
@@ -380,7 +380,9 @@ def loop_kruskal_detail(mat, p):
 @pytest.mark.parametrize("p", (5, 7, 101))
 def test_kruskal_detail_matches_subset_loop(p):
     # small primes make dependent subsets common, so most cases take the
-    # failure path and the examined prefix ends inside a stacked chunk
+    # failure path and the examined prefix ends inside a stacked chunk.
+    # The queries run in a seeded random order on one point set, and each
+    # must answer as on a fresh one, whatever was asked before it
     ctx = PrimeContext(p)
     rng = np.random.default_rng(p)
     counts = (6, 9) if p == 5 else (6, 9, 14)  # the plane over Z_5 has 31 points
@@ -389,21 +391,33 @@ def test_kruskal_detail_matches_subset_loop(p):
         for d in (1, 2, 3):
             z = random_pointset(ctx, rng, count, n=2)
             mat = evaluation_matrix(z, d).a
+            cap = min(mat.shape)
             expect = loop_kruskal_detail(mat, p)
-            failures += expect[0] < min(mat.shape)
-            assert kruskal_rank_detail(z, d) == expect
-            for k in range(1, expect[0] + 2):
+            failures += expect[0] < cap
+            queries = ([(kruskal_rank_detail, (), expect)] * 2
+                       + [(kruskal_rank_at_least, (k,), k <= expect[0])
+                          for k in range(-1, cap + 2)]
+                       + [(kruskal_level, (k,), first_dependent_by_ranks(mat, p, k))
+                          for k in range(1, cap + 1)])
+            for i in rng.permutation(len(queries)):
+                query, args, oracle = queries[i]
                 fresh = PointSet(ctx, z.points)
-                assert kruskal_rank_at_least(fresh, d, k) == (k <= expect[0])
+                assert query(z, d, *args) == query(fresh, d, *args) == oracle
     assert failures > 0
 
 
-def test_kruskal_at_least_caches_only_the_proved_maximum(ctx):
+def test_kruskal_at_least_records_only_the_level_it_decides(ctx, monkeypatch):
+    # a pass below the cap is not the exact rank; a pass at the cap is
     z = PointSet(ctx, reference_pointset().points)
     assert kruskal_rank_at_least(z, 2, 5)
-    assert z._kruskal_cache == {}
     assert kruskal_rank_at_least(z, 3, 10)
-    assert z._kruskal_cache == {3: (10, 1001)}
+    monkeypatch.setattr(points_module, "_first_dependent_subset", no_elimination)
+    assert kruskal_level(z, 2, 5) == (comb(14, 5), None)
+    assert kruskal_level(z, 3, 10) == (1001, None)
+    assert kruskal_rank_detail(z, 3) == (10, 1001)
+    assert kruskal_rank_at_least(z, 2, 4)  # level 5 passed, so 4 does
+    with pytest.raises(AssertionError, match="eliminating again"):
+        kruskal_rank_detail(z, 2)  # its cap, level 6, is undecided
 
 
 def no_elimination(*_):
@@ -415,10 +429,9 @@ def test_fresh_reference_floor_proves_the_cap(ctx, monkeypatch):
     # exact detail that check_preconditions reports is a cache hit
     z = PointSet(ctx, reference_pointset().points)
     assert kruskal_rank_at_least(z, 3, 10)
-    assert z._kruskal_cache == {3: (10, 1001)}
-    assert kruskal_failure(z, 3) is None
     monkeypatch.setattr(points_module, "rank_mod", no_elimination)
     monkeypatch.setattr(points_module, "row_echelon", no_elimination)
+    assert kruskal_level(z, 3, 10) == (1001, None)
     assert kruskal_rank_detail(z, 3) == (10, 1001)
 
 
@@ -428,13 +441,13 @@ def test_failed_floor_is_answered_from_the_cache(ctx, monkeypatch):
                                            (1, 8, 2), (3, 2, 11), (5, 4, 6)]
     z = PointSet(ctx, pts)
     assert not kruskal_rank_at_least(z, 3, 10)
-    floor, examined, subset = kruskal_failure(z, 3)
-    assert floor == 10 and z._kruskal_cache == {}
+    examined, subset = kruskal_level(z, 3, 10)
+    assert len(subset) == 10
     assert rank_mod(evaluation_matrix(z, 3).a[list(subset)], ctx.p) < 10
     monkeypatch.setattr(points_module, "rank_mod", no_elimination)
     monkeypatch.setattr(points_module, "row_echelon", no_elimination)
     assert not kruskal_rank_at_least(z, 3, 10)
-    assert kruskal_failure(z, 3) == (floor, examined, subset)
+    assert kruskal_level(z, 3, 10) == (examined, subset)
 
 
 def first_dependent_by_ranks(mat, p, k):
@@ -482,10 +495,7 @@ def assert_cap_matches_subset_ranks(p):
         examined, subset = first_dependent_by_ranks(mat, p, c)
         outcomes.add(subset is None)
         assert kruskal_rank_at_least(z, d, c) == (subset is None)
-        if subset is None:
-            assert z._kruskal_cache == {d: (c, examined)}
-        else:
-            assert kruskal_failure(z, d) == (c, examined, subset)
+        assert kruskal_level(z, d, c) == (examined, subset)
     assert outcomes == {True, False}
 
 
@@ -520,8 +530,8 @@ def test_kruskal_cap_on_generator_draws_at_a_small_prime():
         draws += 1
         examined, subset = first_dependent_by_ranks(evaluation_matrix(z, 3).a, 101, 10)
         assert kruskal_rank_at_least(z, 3, 10) == (subset is None)
+        assert kruskal_level(z, 3, 10) == (examined, subset)
         if subset is not None:
-            assert kruskal_failure(z, 3) == (10, examined, subset)
             positions.add(examined)
     assert len(positions) > 10
 

@@ -279,6 +279,20 @@ def test_negative_degree_is_an_input_error(command, option):
     assert res.stderr.strip() == f"error: {option} must be >= 0"
 
 
+@pytest.mark.parametrize("j, code", ((2**18, 0), (2**18 + 1, 2), (10**9, 2)))
+def test_hilbert_command_bounds_its_table(j, code):
+    # one column per degree: 2**18 columns still print, more are refused
+    # before any profile is computed
+    t0 = time.perf_counter()
+    res = run_cli("hilbert", str(FIXTURES / "six_on_conic.json"), "--max-degree", str(j))
+    assert res.returncode == code
+    if code:
+        assert res.stderr.strip() == "error: --max-degree must be <= 262144"
+    else:
+        assert res.stdout.split()[-1] == "0" and len(res.stdout.splitlines()) == 3
+    assert time.perf_counter() - t0 < 10
+
+
 def test_kruskal_command_reference():
     res = run_cli("kruskal", str(FIXTURES / "optics_T1.json"), "--d", "3")
     assert res.returncode == 0
