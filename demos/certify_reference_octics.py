@@ -12,17 +12,21 @@ Run from the repository root:
     python3 demos/certify_reference_octics.py
 """
 
+from pathlib import Path
+
 from waringcert import (
     certify_octic14,
     check_preconditions,
     hilbert_burch,
     normalization_check,
 )
-from waringcert.fixtures import UNIDENTIFIABLE_LAMBDA, reference_instance
+from waringcert.storage import load_instance
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def main():
-    t1 = reference_instance()
+    t1 = load_instance(FIXTURES / "optics_T1.json")[0]
     print("Admissibility of the fourteen points (shared by both forms):")
     for label, value in check_preconditions(t1):
         print(f"  {label} = {value}")
@@ -40,7 +44,7 @@ def main():
     print(f"zero parameter vector works) -> {cert.display()}")
 
     print("\n--- the special coefficient vector ---")
-    t2 = reference_instance(UNIDENTIFIABLE_LAMBDA)
+    t2 = load_instance(FIXTURES / "optics_T2.json")[0]
     cert2 = certify_octic14(t2)
     ev2 = cert2.evidence_dict()
     print(f"decision system rank = {ev2['system_rank']}: a one-dimensional")

@@ -10,8 +10,12 @@ Run from the repository root:
     python3 demos/hilbert_tables.py
 """
 
+from pathlib import Path
+
 from waringcert import cb_check, h1_defect, hilbert_profile
-from waringcert.fixtures import six_point_sets
+from waringcert.storage import load_instance
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def show(name, z, j_max, cb_degrees):
@@ -25,7 +29,8 @@ def show(name, z, j_max, cb_degrees):
 
 
 def main():
-    sets = six_point_sets()
+    sets = {key: load_instance(FIXTURES / f"six_{key}.json")[0].pointset
+            for key in ("general", "on_conic", "five_aligned")}
     print("The Hilbert function h(j) is the rank of the degree-j evaluation")
     print("matrix; its first difference encodes the geometry of the points.")
     show("six general points", sets["general"], 3, (1, 2))

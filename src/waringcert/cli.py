@@ -2,9 +2,7 @@
 
 Subcommands: check (run criteria, write a report), gen (ground-truth
 instances), hilbert (h/Dh table), kruskal (one Kruskal rank), syzygy
-(debug dump of the octic pipeline's matrices).  The WARING_PRIME
-environment variable overrides the default modulus 31991 wherever a
-prime is not given explicitly.
+(debug dump of the octic pipeline's matrices).
 
 Exit codes for check: 0 a verdict was reached (either way), 1 the run
 stayed inconclusive, 2 input error.  gen adds 3 for an exhausted
@@ -15,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -38,9 +35,8 @@ from .octic14 import (
     residual_family,
     second_decomposition_system,
 )
-from .points import hilbert_profile, kruskal_rank_detail
+from .points import MAX_EVALUATION_ENTRIES, hilbert_profile, kruskal_rank_detail
 from .storage import (
-    MAX_EVALUATION_ENTRIES,
     build_report,
     canonical_json,
     check_evaluation_size,
@@ -53,11 +49,6 @@ EXIT_VERDICT = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_INPUT = 2
 EXIT_EXHAUSTED = 3
-
-
-def _default_prime() -> int:
-    env = os.environ.get("WARING_PRIME")
-    return int(env) if env else DEFAULT_PRIME
 
 
 def _load(path):
@@ -91,12 +82,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    prime = args.prime if args.prime is not None else _default_prime()
     try:
         if args.kind == "identifiable":
-            gen = gen_identifiable(args.seed, prime)
+            gen = gen_identifiable(args.seed, args.prime)
         else:
-            gen = gen_unidentifiable(args.seed, prime,
+            gen = gen_unidentifiable(args.seed, args.prime,
                                      rational_residual=args.rational_residual)
     except (NotPrime, ScanBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -200,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a ground-truth instance")
     p.add_argument("kind", choices=("identifiable", "unidentifiable"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--rational-residual", action="store_true",
                    help="small fields: make the second decomposition's "
                         "points rational")

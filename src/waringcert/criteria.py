@@ -187,22 +187,46 @@ def reshaped_kruskal_certify(inst: Instance,
     )
 
 
-def _over_rank_cap(evidence: list, r: int, r_cap: int, d: int,
-                   kruskal_degree: int) -> Certificate:
-    """Inconclusive from r > rank_cap alone, before any Kruskal rank."""
-    evidence += [("rank_cap", r_cap),
-                 ("skipped", f"kruskal_{kruskal_degree}: r = {r} > rank_cap = {r_cap}")]
-    return Certificate(
-        INCONCLUSIVE,
-        reason=f"r = {r} exceeds the rank cap {r_cap} at degree {d}",
-        evidence=tuple(evidence),
-    )
-
-
 def _floor_evidence(reached: bool, floor: int) -> int | str:
     """Evidence for a Kruskal rank asked only whether it reaches its cap:
     the cap itself when it does, "< cap" when it does not."""
     return floor if reached else f"< {floor}"
+
+
+def _plane_certify(inst: Instance, verdict: str, r_cap: int, h_degree: int,
+                   k_degree: int | None) -> Certificate:
+    """The plane test behind range and ranger: verdict when
+    h_A(h_degree) = r <= r_cap and, unless k_degree is None,
+    k_{k_degree}(A) >= min(C(k_degree+2, 2), r).  Where a Kruskal rank
+    would follow, r > r_cap ends the test before it is computed."""
+    if inst.pointset.n != 2:
+        raise ValueError("this criterion is stated for plane point sets")
+    rk = check_nonredundant(inst)
+    r = inst.length
+    d = inst.degree
+    evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
+    ok = r <= r_cap
+    if k_degree is not None:
+        if not ok:
+            evidence += [("rank_cap", r_cap),
+                         ("skipped", f"kruskal_{k_degree}: r = {r} > rank_cap = {r_cap}")]
+            return Certificate(
+                INCONCLUSIVE,
+                reason=f"r = {r} exceeds the rank cap {r_cap} at degree {d}",
+                evidence=tuple(evidence),
+            )
+        k_need = min(comb(k_degree + 2, 2), r)
+        ok = kruskal_rank_at_least(inst.pointset, k_degree, k_need)
+        evidence.append((f"kruskal_{k_degree}", _floor_evidence(ok, k_need)))
+    h = evaluation_matrix(inst.pointset, h_degree).rank()
+    evidence += [(f"hilbert_{h_degree}", h), ("rank_cap", r_cap)]
+    if ok and h == r:
+        return Certificate(verdict, rank=r, evidence=tuple(evidence))
+    return Certificate(
+        INCONCLUSIVE,
+        reason=f"hypotheses not met for r = {r} at degree {d}",
+        evidence=tuple(evidence),
+    )
 
 
 def range_certify(inst: Instance) -> Certificate:
@@ -213,32 +237,10 @@ def range_certify(inst: Instance) -> Certificate:
     r <= C(m+2,2) - 2.  Odd degree 2m+1: k_m(A) and h_A(m+1) maximal
     with r <= C(m+2,2) + floor(m/2).
     """
-    if inst.pointset.n != 2:
-        raise ValueError("this criterion is stated for plane point sets")
-    rk = check_nonredundant(inst)
-    r = inst.length
-    d = inst.degree
-    m = d // 2
-    evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
-    if d % 2 == 0:
-        r_cap = comb(m + 2, 2) - 2
-        e, k_need = m - 1, min(comb(m + 1, 2), r)
-    else:
-        r_cap = comb(m + 2, 2) + m // 2
-        e, k_need = m, min(comb(m + 2, 2), r)
-    if r > r_cap:
-        return _over_rank_cap(evidence, r, r_cap, d, e)
-    k_ok = kruskal_rank_at_least(inst.pointset, e, k_need)
-    h = evaluation_matrix(inst.pointset, e + 1).rank()
-    evidence += [(f"kruskal_{e}", _floor_evidence(k_ok, k_need)),
-                 (f"hilbert_{e + 1}", h), ("rank_cap", r_cap)]
-    if k_ok and h == r:
-        return Certificate(IDENTIFIABLE, rank=r, evidence=tuple(evidence))
-    return Certificate(
-        INCONCLUSIVE,
-        reason=f"hypotheses not met for r = {r} at degree {d}",
-        evidence=tuple(evidence),
-    )
+    m = inst.degree // 2
+    if inst.degree % 2 == 0:
+        return _plane_certify(inst, IDENTIFIABLE, comb(m + 2, 2) - 2, m, m - 1)
+    return _plane_certify(inst, IDENTIFIABLE, comb(m + 2, 2) + m // 2, m + 1, m)
 
 
 def ranger_certify(inst: Instance) -> Certificate:
@@ -247,35 +249,10 @@ def ranger_certify(inst: Instance) -> Certificate:
     Even degree 2m: h_A(m) = r <= C(m+2,2).  Odd degree 2m+1: k_m(A)
     maximal and h_A(m+1) = r <= C(m+2,2) + ceil(m/2).
     """
-    if inst.pointset.n != 2:
-        raise ValueError("this criterion is stated for plane point sets")
-    rk = check_nonredundant(inst)
-    r = inst.length
-    d = inst.degree
-    m = d // 2
-    evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
-    if d % 2 == 0:
-        r_cap = comb(m + 2, 2)
-        h = evaluation_matrix(inst.pointset, m).rank()
-        evidence += [(f"hilbert_{m}", h), ("rank_cap", r_cap)]
-        ok = h == r and r <= r_cap
-    else:
-        r_cap = comb(m + 2, 2) + (m + 1) // 2
-        if r > r_cap:
-            return _over_rank_cap(evidence, r, r_cap, d, m)
-        k_need = min(comb(m + 2, 2), r)
-        k_ok = kruskal_rank_at_least(inst.pointset, m, k_need)
-        h = evaluation_matrix(inst.pointset, m + 1).rank()
-        evidence += [(f"kruskal_{m}", _floor_evidence(k_ok, k_need)),
-                     (f"hilbert_{m + 1}", h), ("rank_cap", r_cap)]
-        ok = k_ok and h == r
-    if ok:
-        return Certificate(COMPUTES_RANK, rank=r, evidence=tuple(evidence))
-    return Certificate(
-        INCONCLUSIVE,
-        reason=f"hypotheses not met for r = {r} at degree {d}",
-        evidence=tuple(evidence),
-    )
+    m = inst.degree // 2
+    if inst.degree % 2 == 0:
+        return _plane_certify(inst, COMPUTES_RANK, comb(m + 2, 2), m, None)
+    return _plane_certify(inst, COMPUTES_RANK, comb(m + 2, 2) + (m + 1) // 2, m + 1, m)
 
 
 def mo_certify(inst: Instance) -> Certificate:

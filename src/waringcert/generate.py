@@ -92,8 +92,8 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(tag)]))
 
 
-def random_admissible_pointset(seed: int, prime: int = DEFAULT_PRIME,
-                               budget: int = DEFAULT_BUDGET) -> tuple[PointSet, int]:
+def random_admissible_pointset(seed: int,
+                               prime: int = DEFAULT_PRIME) -> tuple[PointSet, int]:
     """Rejection-sample 14 plane points until all admissibility gates hold.
 
     Gates: pairwise distinct, h(4) = 14, third Kruskal rank 10, and a
@@ -107,7 +107,7 @@ def random_admissible_pointset(seed: int, prime: int = DEFAULT_PRIME,
     """
     ctx = PrimeContext(prime)
     rng = _rng(seed, 0)
-    for attempt in range(1, budget + 1):
+    for attempt in range(1, DEFAULT_BUDGET + 1):
         ps = _sample_pointset(ctx, rng)
         if ps is None:
             continue
@@ -115,7 +115,7 @@ def random_admissible_pointset(seed: int, prime: int = DEFAULT_PRIME,
         if not kruskal_rank_at_least(ps, 3, 10) or _family_or_none(ps) is None:
             continue
         return ps, attempt
-    raise GenerationExhausted(f"no admissible point set in {budget} attempts")
+    raise GenerationExhausted(f"no admissible point set in {DEFAULT_BUDGET} attempts")
 
 
 def _sample_pointset(ctx: PrimeContext, rng) -> PointSet | None:
@@ -130,10 +130,9 @@ def _sample_pointset(ctx: PrimeContext, rng) -> PointSet | None:
     return ps
 
 
-def gen_identifiable(seed: int, prime: int = DEFAULT_PRIME,
-                     budget: int = DEFAULT_BUDGET) -> GeneratedInstance:
+def gen_identifiable(seed: int, prime: int = DEFAULT_PRIME) -> GeneratedInstance:
     """Admissible points with uniformly random nonzero coefficients."""
-    ps, attempts = random_admissible_pointset(seed, prime, budget)
+    ps, attempts = random_admissible_pointset(seed, prime)
     rng = _rng(seed, 1)
     lam = rng.integers(1, prime, size=14, dtype=np.int64)
     return GeneratedInstance(
@@ -187,7 +186,6 @@ def _emit_unidentifiable(ps: PointSet, basis8: np.ndarray, seed: int, attempts: 
 
 
 def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
-                       budget: int = DEFAULT_BUDGET,
                        rational_residual: bool = False) -> GeneratedInstance:
     """A form with a certified second length-14 decomposition.
 
@@ -197,14 +195,14 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
     rational; see the module docstring.
     """
     if rational_residual:
-        return _gen_unidentifiable_rational(seed, prime, budget)
+        return _gen_unidentifiable_rational(seed, prime)
     ctx = PrimeContext(prime)
     # same point stream as random_admissible_pointset, but kept open so a
     # degenerate residual family can fall through to a fresh point set
     rng_pts = _rng(seed, 0)
     rng_a = _rng(seed, 2)
     attempts = 0
-    while attempts < budget:
+    while attempts < DEFAULT_BUDGET:
         attempts += 1
         ps = _sample_pointset(ctx, rng_pts)
         if ps is None or not kruskal_rank_at_least(ps, 3, 10):
@@ -224,7 +222,7 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
             )
             if out is not None:
                 return out
-    raise GenerationExhausted(f"no usable parameter vector in {budget} attempts")
+    raise GenerationExhausted(f"no usable parameter vector in {DEFAULT_BUDGET} attempts")
 
 
 def _family_or_none(ps: PointSet) -> ResidualFamily | None:
@@ -283,8 +281,8 @@ def plane_values(f: GradedPoly) -> np.ndarray:
         C[0, d:]])
 
 
-def recover_residual_points(Q: GradedPoly, quintics, A: PointSet,
-                            scan_limit: int = SCAN_LIMIT) -> list[tuple[int, int, int]]:
+def recover_residual_points(Q: GradedPoly, quintics,
+                            A: PointSet) -> list[tuple[int, int, int]]:
     """Best-effort scan for the rational points of the second decomposition.
 
     Evaluates the quartic on the whole projective plane, keeps the common
@@ -293,10 +291,8 @@ def recover_residual_points(Q: GradedPoly, quintics, A: PointSet,
     rational, and the count found is reported, never padded.
     """
     p = Q.ctx.p
-    if p > scan_limit:
-        raise ScanBudgetExceeded(
-            f"p = {p} exceeds the scan guard {scan_limit}; raise scan_limit to force"
-        )
+    if p > SCAN_LIMIT:
+        raise ScanBudgetExceeded(f"p = {p} exceeds the scan guard {SCAN_LIMIT}")
     # restrict to the quartic curve first: ~p points instead of ~p^2
     at = np.flatnonzero(plane_values(Q) == 0)
     hits = plane_points(p, at)
@@ -312,8 +308,7 @@ _RATIONAL_INNER_TRIES = 80
 _TRY_CHUNK = 16
 
 
-def _gen_unidentifiable_rational(seed: int, prime: int,
-                                 budget: int = DEFAULT_BUDGET) -> GeneratedInstance:
+def _gen_unidentifiable_rational(seed: int, prime: int) -> GeneratedInstance:
     """Second decomposition with all points rational, built on the quartic.
 
     Eleven random rational points of the quartic (besides A) leave a
@@ -337,7 +332,7 @@ def _gen_unidentifiable_rational(seed: int, prime: int,
     p = ctx.p
     rng = _rng(seed, 3)
     attempts = 0
-    for _outer in range(budget):
+    for _outer in range(DEFAULT_BUDGET):
         attempts += 1
         ps = _sample_pointset(ctx, rng)
         fam = None if ps is None else _family_or_none(ps)
@@ -382,7 +377,7 @@ def _gen_unidentifiable_rational(seed: int, prime: int,
                 if out is not None:
                     return out
     raise GenerationExhausted(
-        f"no split residual set found in {budget} attempts over Z_{prime}"
+        f"no split residual set found in {DEFAULT_BUDGET} attempts over Z_{prime}"
     )
 
 

@@ -130,18 +130,16 @@ class ResidualFamily:
     q_scale: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Octic14Report:
     """Everything the linear-system stage computed."""
 
-    precondition_evidence: tuple
     mode: str
     system_matrix: DenseMatrix
     system_rank: int
     selected_columns: tuple[int, ...] | None = None
     selection_attempt: int | None = None
     witness: np.ndarray | None = None
-    witness_checks: dict | None = None
 
 
 def _require_octic14_shape(inst: Instance) -> None:
@@ -346,8 +344,7 @@ def _instance_seed(inst: Instance, salt: int) -> int:
 
 
 def second_decomposition_system(inst: Instance, fam: ResidualFamily,
-                                mode: str = FULL,
-                                precondition_evidence: tuple = ()) -> Octic14Report:
+                                mode: str = FULL) -> Octic14Report:
     """Decide whether any nonzero parameter vector keeps T orthogonal to
     the residual ideal.
 
@@ -396,18 +393,15 @@ def second_decomposition_system(inst: Instance, fam: ResidualFamily,
         sysmat = full_rows[list(selected)]
     system = DenseMatrix(inst.ctx, sysmat)
     srank = system.rank()
-    report = Octic14Report(
-        precondition_evidence=tuple(precondition_evidence),
+    return Octic14Report(
         mode=mode,
         system_matrix=system,
         system_rank=srank,
         selected_columns=selected,
         selection_attempt=attempt_used,
+        witness=(normalize_projective(system.kernel_basis()[0], p)
+                 if srank <= 11 else None),
     )
-    if srank <= 11:
-        kern = system.kernel_basis()
-        report.witness = normalize_projective(kern[0], p)
-    return report
 
 
 def verify_witness(inst: Instance, fam: ResidualFamily, astar) -> dict:
@@ -462,14 +456,13 @@ def certify_octic14(inst: Instance, mode: str = FULL) -> Certificate:
     all four verification checks.
     """
     try:
-        pre = check_preconditions(inst)
+        evidence = list(check_preconditions(inst))
     except PreconditionFailed as e:
         return Certificate(
             DEGENERATE,
             reason=str(e),
             evidence=(("failed_test", e.test), ("computed", str(e.value))),
         )
-    evidence = list(pre)
     try:
         hb = hilbert_burch(inst.pointset)
         Cm, crank = normalization_check(hb)
@@ -479,8 +472,7 @@ def certify_octic14(inst: Instance, mode: str = FULL) -> Certificate:
                                reason=f"normalization matrix has rank {crank} != 12",
                                evidence=tuple(evidence))
         fam = residual_family(hb)
-        report = second_decomposition_system(inst, fam, mode=mode,
-                                             precondition_evidence=pre)
+        report = second_decomposition_system(inst, fam, mode=mode)
     except (QuarticNotUnique, SyzygyDimension, MinorDegenerate,
             DegenerateCofactors, SelectionFailed) as e:
         return Certificate(DEGENERATE, reason=f"{type(e).__name__}: {e}",
@@ -499,7 +491,6 @@ def certify_octic14(inst: Instance, mode: str = FULL) -> Certificate:
             reason=f"system rank {report.system_rank} but witness rejected: {e.check}",
             evidence=tuple(evidence),
         )
-    report.witness_checks = checks
     evidence += [(k, v) for k, v in checks.items() if k != "a"]
     return Certificate(
         NOT_IDENTIFIABLE,

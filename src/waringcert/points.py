@@ -22,7 +22,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations, count, islice
 from math import comb
 
@@ -32,6 +31,13 @@ from .errors import DuplicatePoint, ZeroPoint
 from .ffield import (DenseMatrix, PrimeContext, _kernel_from_echelon, kernel_mod,
                      matmul_mod, rank_mod, row_echelon)
 from .polys import _laplace_level, _veronese_rows
+
+# Largest evaluation matrix an instance may ask for: ell * C(n+d, n)
+# entries, 2**18 of them or 2 MiB of int64.  Every criterion starts from
+# this matrix, so parse_instance and the kruskal command check the bound
+# before any monomial basis is built.  The shipped fixtures need 630
+# entries.  hilbert_profile takes it as its largest j_max as well.
+MAX_EVALUATION_ENTRIES = 2**18
 
 
 def projectively_equal(u, v, p: int) -> bool:
@@ -188,10 +194,11 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
     shear changes a rank.  A chart exists whenever n*ell < p; without
     one each degree is ranked on its own.  D starts at min(j_max, least
     d with C(d+n, n) >= ell) and doubles up to j_max until h_Z(D) = ell,
-    which then holds in every higher degree, over any field.
+    which then holds in every higher degree, over any field.  Only the
+    first ev(Z, D) is memoised on Z, and only when unsheared.
     """
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
+    if not 0 <= j_max <= MAX_EVALUATION_ENTRIES:
+        raise ValueError(f"j_max must be in 0..{MAX_EVALUATION_ENTRIES}")
     ell, n, chart = len(Z), Z.n, _chart(Z)
     if chart is None:
         values = []
@@ -199,12 +206,13 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
             values.append(ell if values and values[-1] == ell
                           else evaluation_matrix(Z, j).rank())
     else:
-        t, a = chart  # only the unsheared ev(Z, D) is memoised on Z
-        ev = (partial(evaluation_matrix, Z) if t == 0
-              else lambda D: DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, a, D)))
+        t, a = chart
         D = min(j_max, next(d for d in count() if comb(d + n, n) >= ell))
-        while len(piv := ev(D)._reduced()[1]) < ell and D < j_max:
+        ev = (evaluation_matrix(Z, D) if t == 0
+              else DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, a, D)))
+        while len(piv := ev._reduced()[1]) < ell and D < j_max:
             D = min(2 * D, j_max)
+            ev = DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, a, D))
         values = [bisect_left(piv, comb(j + n, n)) if j <= D else ell
                   for j in range(j_max + 1)]
     diffs = [values[0]] + [values[j] - values[j - 1] for j in range(1, j_max + 1)]

@@ -212,11 +212,6 @@ class GradedPoly:
         return f"GradedPoly(deg {self.degree}: {self})"
 
 
-def poly_eval(f: GradedPoly, point) -> int:
-    """Exact evaluation, consistent with the veronese pairing contract."""
-    return f.eval(point)
-
-
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def product_table(n: int, a: int, b: int) -> np.ndarray:
     """Entry [i, j] is the degree-(a + b) basis position of the product of

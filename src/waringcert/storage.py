@@ -21,15 +21,9 @@ from . import __version__
 from .criteria import Certificate, Instance
 from .errors import InstanceFormatError, NotPrime, WaringError
 from .ffield import PrimeContext
-from .points import PointSet
+from .points import MAX_EVALUATION_ENTRIES, PointSet
 
 INSTANCE_FIELDS = ("prime", "n", "degree", "points", "lambda")
-
-# Largest evaluation matrix an instance may ask for: ell * C(n+d, n)
-# entries, 2**18 of them or 2 MiB of int64.  Every criterion starts from
-# this matrix, so parse_instance and the kruskal command check the bound
-# before any monomial basis is built.  The shipped fixtures need 630 entries.
-MAX_EVALUATION_ENTRIES = 2**18
 
 
 def canonical_json(obj) -> str:

@@ -32,14 +32,9 @@ from waringcert import (
 )
 from waringcert.errors import WaringError
 from waringcert.ffield import matmul_mod, rank_mod
-from waringcert.fixtures import (
-    UNIDENTIFIABLE_LAMBDA,
-    reference_instance,
-    six_point_sets,
-)
 from waringcert.polys import det_poly, mult_map
 
-from conftest import random_instance, random_pointset
+from conftest import fixture_instance, random_instance, random_pointset, six_point_sets
 
 CI_DIFFERENCES = (1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 0)
 BATCH = 50
@@ -94,7 +89,7 @@ def rational_batch():
 
 def test_criterion_1_reference_identifiable():
     t0 = time.perf_counter()
-    inst = reference_instance()
+    inst = fixture_instance("optics_T1")
     cert = certify_octic14(inst, mode=FULL)
     elapsed = time.perf_counter() - t0
     ev = cert.evidence_dict()
@@ -113,7 +108,7 @@ def test_criterion_1_reference_identifiable():
 
 def test_criterion_2_reference_unidentifiable():
     t0 = time.perf_counter()
-    inst = reference_instance(UNIDENTIFIABLE_LAMBDA)
+    inst = fixture_instance("optics_T2")
     cert = certify_octic14(inst, mode=FULL)
     elapsed = time.perf_counter() - t0
     ev = cert.evidence_dict()
@@ -130,8 +125,8 @@ def test_criterion_2_reference_unidentifiable():
 
 
 def test_criterion_3_mode_equivalence(full_certs, paper13_certs):
-    t1 = reference_instance()
-    t2 = reference_instance(UNIDENTIFIABLE_LAMBDA)
+    t1 = fixture_instance("optics_T1")
+    t2 = fixture_instance("optics_T2")
     agree = (
         certify_octic14(t1, mode=FULL).verdict
         == certify_octic14(t1, mode=PAPER13).verdict
@@ -278,7 +273,7 @@ def test_criterion_7_cayley_bacharach_suite(rational_batch):
 
 
 def test_criterion_8_hilbert_burch_structure(ident_batch):
-    pointsets = [reference_instance().pointset] \
+    pointsets = [fixture_instance("optics_T1").pointset] \
         + [g.instance.pointset for g in ident_batch]
     bad = 0
     for ps in pointsets:
@@ -319,7 +314,7 @@ def test_criterion_8_hilbert_burch_structure(ident_batch):
 def test_criterion_9_general_criteria(ctx):
     rng = np.random.default_rng(99)
     c_range = range_certify(random_instance(ctx, rng, 13, 8))
-    c_ranger = ranger_certify(reference_instance())
+    c_ranger = ranger_certify(fixture_instance("optics_T1"))
     c_sylvester = range_certify(random_instance(ctx, rng, 7, 5))
     c_sextic = ranger_certify(random_instance(ctx, rng, 10, 6))
     ok = (

@@ -21,7 +21,7 @@ from waringcert import points as points_module
 from waringcert.criteria import admissible_splits, check_nonredundant
 from waringcert.errors import BadSplit, NotConcise, RedundancyDetected
 
-from conftest import random_instance, random_pointset
+from conftest import fixture_instance, random_instance, random_pointset
 
 
 def test_admissible_splits_order():
@@ -77,9 +77,7 @@ def no_subsets(*_):
 def test_cap_first_criteria_compute_no_kruskal_rank(monkeypatch):
     # r = 14 is past range's cap 13 and every split's cap bound, so the
     # verdict follows from the caps before any subset is enumerated
-    from waringcert.fixtures import reference_instance
-
-    inst = reference_instance()
+    inst = fixture_instance("optics_T1")
     monkeypatch.setattr(points_module, "_first_dependent_subset", no_subsets)
     cert = range_certify(inst)
     assert cert.evidence_dict()["skipped"] == "kruskal_3: r = 14 > rank_cap = 13"

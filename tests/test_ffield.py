@@ -21,6 +21,8 @@ from waringcert.ffield import (
     row_echelon,
 )
 
+from conftest import fixture_instance
+
 PRIMES = (5, 101, 31991, 2147483629)
 
 
@@ -417,9 +419,8 @@ def test_rank_then_kernel_reduces_once(monkeypatch):
 
 def test_cold_t1_check_reduces_ev4_once(monkeypatch):
     from waringcert.driver import run_criteria
-    from waringcert.fixtures import reference_instance
 
-    inst = reference_instance()
+    inst = fixture_instance("optics_T1")
     seen = count_eliminations(monkeypatch)
     cert, _ = run_criteria(inst, "all")
     assert cert.display() == "IdentifiableOfRank(14)"

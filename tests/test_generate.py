@@ -16,7 +16,6 @@ from waringcert import (
     hilbert_profile,
     kruskal_rank,
     normalization_check,
-    poly_eval,
     random_admissible_pointset,
     recover_residual_points,
     residual_family,
@@ -154,9 +153,9 @@ def test_rational_residual_recovery_matches(rational_gen):
     assert set(found) == expect
     # every recovered point is a genuine common zero
     for pt in found:
-        assert poly_eval(fam.base.Q, pt) == 0
+        assert fam.base.Q.eval(pt) == 0
         for q in quintics:
-            assert poly_eval(q, pt) == 0
+            assert q.eval(pt) == 0
 
 
 def test_recover_excludes_original_points(rational_gen):
@@ -205,9 +204,9 @@ def test_partial_recovery_on_parametric_instance():
     found = recover_residual_points(fam.base.Q, quintics, inst.pointset)
     assert 0 <= len(found) <= 14
     for pt in found:
-        assert poly_eval(fam.base.Q, pt) == 0
+        assert fam.base.Q.eval(pt) == 0
         for q in quintics:
-            assert poly_eval(q, pt) == 0
+            assert q.eval(pt) == 0
 
 
 def test_plane_points_at_positions():

@@ -14,7 +14,6 @@ from waringcert import (
     hilbert_burch,
     mult_map,
     normalization_check,
-    poly_eval,
     residual_family,
     second_decomposition_system,
     unique_quartic,
@@ -33,10 +32,9 @@ from waringcert.octic14 import (
     _proportionality,
     system_rows_full,
 )
-from waringcert.fixtures import reference_instance
 from waringcert.polys import GradedPoly, det_poly, monomial_basis
 
-from conftest import random_pointset
+from conftest import fixture_instance, random_pointset
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +101,7 @@ def test_precondition_collinear_ev8_rank(ctx):
 
 def test_preconditions_leave_ev8_unreduced():
     # h_A(4) = 14 already fixes rank(ev(A,8)) = 14, so it is not computed
-    inst = reference_instance()
+    inst = fixture_instance("optics_T1")
     assert dict(check_preconditions(inst))["rank_ev8"] == 14
     ev8 = inst.pointset._ev_cache.get(8)
     assert ev8 is None or ev8._echelon is None
@@ -175,7 +173,7 @@ def test_unique_quartic_vanishes_on_points(ref_points, hb):
     q = hb.Q
     assert q.coeffs[np.nonzero(q.coeffs)[0][0]] == 1
     for pt in ref_points:
-        assert poly_eval(q, pt) == 0
+        assert q.eval(pt) == 0
 
 
 def test_quartic_not_unique_on_cubic_points(ctx):
@@ -201,7 +199,7 @@ def test_quartic_minor_proportional_to_q(ref_points, hb):
     minor = det_poly([list(row) for row in hb.lower_block()])
     assert not minor.is_zero()
     for pt in ref_points:
-        assert poly_eval(minor, pt) == 0
+        assert minor.eval(pt) == 0
     ratio = None
     p = ref_points.ctx.p
     for a, b in zip(minor.coeffs, hb.Q.coeffs):

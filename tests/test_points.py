@@ -20,12 +20,12 @@ from waringcert import (
 from waringcert import ffield as ffield_module
 from waringcert import monomial_basis, run_criteria
 from waringcert.errors import DuplicatePoint, ZeroPoint
-from waringcert.fixtures import reference_instance, reference_pointset, six_point_sets
 from waringcert import points as points_module
 from waringcert.ffield import rank_mod
-from waringcert.points import kruskal_level, kruskal_rank_at_least, projectively_equal
+from waringcert.points import (MAX_EVALUATION_ENTRIES, kruskal_level, kruskal_rank_at_least,
+                               projectively_equal)
 
-from conftest import random_pointset
+from conftest import fixture_instance, random_pointset, six_point_sets
 from test_ffield import oracle_rank
 
 
@@ -280,7 +280,7 @@ def test_profile_is_one_elimination_with_a_chart(ctx, monkeypatch, lead):
 
 
 def test_profile_after_a_cold_check_eliminates_nothing(monkeypatch):
-    inst = reference_instance()
+    inst = fixture_instance("optics_T1")
     run_criteria(inst)
     shapes = count_eliminations(monkeypatch)
     assert hilbert_profile(inst.pointset, 8).values == (1, 3, 6, 10, 14, 14, 14, 14, 14)
@@ -294,6 +294,21 @@ def test_profile_of_collinear_points(ctx, monkeypatch):
     shapes = count_eliminations(monkeypatch)
     assert hilbert_profile(z, 120).values == tuple(min(j + 1, 120) for j in range(121))
     assert shapes == [(120, comb(D + 2, 2)) for D in (14, 28, 56, 112, 120)]
+
+
+def test_profile_memoises_only_the_first_degree_it_tries(ctx):
+    # D goes 7, 14, 28, 30 on 30 collinear points; each doubled ev(Z, D)
+    # is read once, so only ev(Z, 7) and its echelon form stay on Z
+    z = line_points(ctx, range(30))
+    assert hilbert_profile(z, 30).values == tuple(min(j + 1, 30) for j in range(31))
+    assert sorted(z._ev_cache) == [7]
+
+
+def test_profile_refuses_degrees_past_the_evaluation_bound(ref_points):
+    assert hilbert_profile(ref_points, MAX_EVALUATION_ENTRIES).values[-1] == 14
+    for j_max in (-1, MAX_EVALUATION_ENTRIES + 1, 10**9):
+        with pytest.raises(ValueError, match="j_max"):
+            hilbert_profile(ref_points, j_max)
 
 
 def test_large_profile_stops_at_the_first_degree_reaching_ell(ctx, monkeypatch):
@@ -408,7 +423,7 @@ def test_kruskal_detail_matches_subset_loop(p):
 
 def test_kruskal_at_least_records_only_the_level_it_decides(ctx, monkeypatch):
     # a pass below the cap is not the exact rank; a pass at the cap is
-    z = PointSet(ctx, reference_pointset().points)
+    z = fixture_instance("optics_T1").pointset
     assert kruskal_rank_at_least(z, 2, 5)
     assert kruskal_rank_at_least(z, 3, 10)
     monkeypatch.setattr(points_module, "_first_dependent_subset", no_elimination)
@@ -427,7 +442,7 @@ def no_elimination(*_):
 def test_fresh_reference_floor_proves_the_cap(ctx, monkeypatch):
     # at the cap the floor test is the whole of the exact rank, so the
     # exact detail that check_preconditions reports is a cache hit
-    z = PointSet(ctx, reference_pointset().points)
+    z = fixture_instance("optics_T1").pointset
     assert kruskal_rank_at_least(z, 3, 10)
     monkeypatch.setattr(points_module, "rank_mod", no_elimination)
     monkeypatch.setattr(points_module, "row_echelon", no_elimination)

@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -17,22 +16,17 @@ from waringcert.storage import (
     sha256_hex,
 )
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from conftest import FIXTURES
 
 # regression pins for the shipped reference instances
 T1_SHA256 = "c4a604ed079f0a0d56b9724202f1295feb60367e4040138d56f4f24e25b61b52"
 T2_SHA256 = "2c6828a19a572bea7a1775def3b1bb92ffad7ae5c42888204317f0da07543c48"
 
 
-def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "waringcert.cli", *args],
-        capture_output=True, text=True, env=full_env,
+        capture_output=True, text=True,
     )
 
 
@@ -197,17 +191,10 @@ def test_check_malformed_instance_exit_2(tmp_path):
     assert "points" in res.stderr
 
 
-def test_check_inconclusive_exit_1(tmp_path):
-    # 14 generic points at degree 6: minimality holds but no uniqueness
-    # criterion applies, and the octic pipeline is out of shape; restrict
-    # to the kruskal criterion to get a fully inconclusive run
-    from waringcert import Instance
-    from waringcert.fixtures import reference_pointset
-
-    inst = Instance(reference_pointset(), 8, [1] * 14)
-    path = tmp_path / "inst.json"
-    save_instance(inst, path)
-    res = run_cli("check", str(path), "--criteria", "kruskal")
+def test_check_inconclusive_exit_1():
+    # 14 points in degree 8 exceed every split bound of the reshaped
+    # Kruskal criterion, so that criterion alone leaves T1 inconclusive
+    res = run_cli("check", str(FIXTURES / "optics_T1.json"), "--criteria", "kruskal")
     assert res.returncode == 1
     report = json.loads(res.stdout)
     assert report["verdict"].startswith("Inconclusive")
@@ -244,14 +231,12 @@ def test_gen_composite_prime_exit_2():
     assert res.returncode == 2
 
 
-def test_gen_env_prime_override():
-    res = run_cli("gen", "identifiable", "--seed", "4", env={"WARING_PRIME": "101"})
+def test_gen_prime_flag():
     # over p=101 the full admissibility gate is unreachable: budget exhausts
-    if res.returncode == 0:
-        assert json.loads(res.stdout)["prime"] == 101
-    else:
-        assert res.returncode == 3
-    res2 = run_cli("gen", "identifiable", "--seed", "4", env={"WARING_PRIME": "1009"})
+    res = run_cli("gen", "identifiable", "--seed", "4", "--prime", "101")
+    assert res.returncode == 3
+    assert "no admissible point set in 1000 attempts" in res.stderr
+    res2 = run_cli("gen", "identifiable", "--seed", "4", "--prime", "1009")
     assert res2.returncode == 0
     assert json.loads(res2.stdout)["prime"] == 1009
 
