@@ -5,7 +5,9 @@ set contains both identifiable and unidentifiable forms; which one you get
 depends only on the coefficients.  This walks the reference point set
 through the full pipeline with the all-ones coefficients (unique
 decomposition) and with the special coefficient vector that admits a
-second decomposition.
+second decomposition.  Both forms are built on the same PointSet object,
+so everything up to the residual family is computed once, for the first
+form, and the second pays only for its own decision system and witness.
 
 Run from the repository root:
 
@@ -15,10 +17,10 @@ Run from the repository root:
 from pathlib import Path
 
 from waringcert import (
+    Instance,
     certify_octic14,
     check_preconditions,
-    hilbert_burch,
-    normalization_check,
+    point_stages,
 )
 from waringcert.storage import load_instance
 
@@ -31,11 +33,10 @@ def main():
     for label, value in check_preconditions(t1):
         print(f"  {label} = {value}")
 
-    hb = hilbert_burch(t1.pointset)
-    _, crank = normalization_check(hb)
+    hb, C, _ = point_stages(t1.pointset)
     print(f"\nUnique quartic through the points: {str(hb.Q)[:60]}...")
     print(f"Syzygy matrix: conic row + 4x4 linear block; "
-          f"normalization matrix rank = {crank}")
+          f"normalization matrix rank = {C.rank()}")
 
     print("\n--- all-ones coefficients ---")
     cert = certify_octic14(t1)
@@ -44,7 +45,8 @@ def main():
     print(f"zero parameter vector works) -> {cert.display()}")
 
     print("\n--- the special coefficient vector ---")
-    t2 = load_instance(FIXTURES / "optics_T2.json")[0]
+    t2_lam = load_instance(FIXTURES / "optics_T2.json")[0].lam
+    t2 = Instance(t1.pointset, 8, t2_lam)
     cert2 = certify_octic14(t2)
     ev2 = cert2.evidence_dict()
     print(f"decision system rank = {ev2['system_rank']}: a one-dimensional")

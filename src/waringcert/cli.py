@@ -30,8 +30,8 @@ from .generate import gen_identifiable, gen_unidentifiable
 from .octic14 import (
     FULL,
     MODES,
-    hilbert_burch,
-    normalization_check,
+    octic14_shape,
+    point_stages,
     residual_family,
     second_decomposition_system,
 )
@@ -146,10 +146,12 @@ def cmd_kruskal(args) -> int:
 
 def cmd_syzygy(args) -> int:
     inst, _, _ = _load(args.path)
+    if not octic14_shape(inst):
+        print("error: syzygy is stated for 14 plane points in degree 8", file=sys.stderr)
+        return EXIT_INPUT
     try:
-        hb = hilbert_burch(inst.pointset)
-        Cm, crank = normalization_check(hb)
-        fam = residual_family(hb)
+        hb, Cm, fam = point_stages(inst.pointset)
+        fam = fam or residual_family(hb)  # dumped even at normalization rank < 12
         report = second_decomposition_system(inst, fam, mode=args.mode)
     except WaringError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
@@ -159,7 +161,7 @@ def cmd_syzygy(args) -> int:
         "quintics": [str(q) for q in hb.quintics],
         "syzygy_matrix": [[str(e) for e in row] for row in hb.M],
         "normalization_matrix": Cm.a.tolist(),
-        "normalization_rank": crank,
+        "normalization_rank": Cm.rank(),
         "system_mode": report.mode,
         "system_matrix": report.system_matrix.a.tolist(),
         "system_rank": report.system_rank,

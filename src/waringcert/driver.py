@@ -27,7 +27,7 @@ from .criteria import (
     reshaped_kruskal_certify,
 )
 from .errors import WaringError
-from .octic14 import FULL, certify_octic14
+from .octic14 import FULL, certify_octic14, octic14_shape
 
 CRITERIA_ORDER = ("range", "ranger", "kruskal", "octic14")
 
@@ -40,15 +40,11 @@ _STRENGTH = {
 }
 
 
-def _octic14_applicable(inst: Instance) -> bool:
-    return inst.pointset.n == 2 and inst.degree == 8 and inst.length == 14
-
-
 def _not_applicable(name: str, inst: Instance) -> str | None:
     """Why the criterion is not stated for this instance, or None."""
     if name in ("range", "ranger") and inst.pointset.n != 2:
         return f"stated for plane point sets, got n = {inst.pointset.n}"
-    if name == "octic14" and not _octic14_applicable(inst):
+    if name == "octic14" and not octic14_shape(inst):
         return "stated for 14 plane points in degree 8"
     return None
 
@@ -58,7 +54,7 @@ def run_criteria(inst: Instance, criteria: str = "all",
     """(final certificate, per-criterion results)."""
     if criteria == "all":
         names = [n for n in CRITERIA_ORDER
-                 if n != "octic14" or _octic14_applicable(inst)]
+                 if n != "octic14" or octic14_shape(inst)]
     elif criteria in CRITERIA_ORDER:
         names = [criteria]
     else:

@@ -57,10 +57,8 @@ from .ffield import (
 )
 from .octic14 import (
     ResidualFamily,
-    hilbert_burch,
     ideal_past_quartic,
-    normalization_check,
-    residual_family,
+    point_stages,
     residual_octic_generators,
 )
 from .points import (
@@ -229,10 +227,7 @@ def _family_or_none(ps: PointSet) -> ResidualFamily | None:
     """The residual family of ps, or None where certify_octic14 would
     stop at Hilbert-Burch, the normalization or the family."""
     try:
-        hb = hilbert_burch(ps)
-        if normalization_check(hb)[1] != 12:
-            return None
-        return residual_family(hb)
+        return point_stages(ps)[2]
     except WaringError:
         return None
 

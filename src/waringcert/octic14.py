@@ -21,12 +21,17 @@ Stages, in pipeline order:
   hilbert_burch          quintic generators and the 5x4 syzygy matrix M
   normalization_check    the 12x12 matrix C and its rank
   residual_family        transposed block, parametric quintic minors
+  point_stages           the three above, memoised on the point set
   second_decomposition_system   the 40x12 (or reduced 13x12) system
   verify_witness         dimension and orthogonality checks on a candidate
   certify_octic14        the orchestrated certificate
 
 Every stage is deterministic; the reduced mode's random specialization
 is seeded from a digest of the instance so reports are reproducible.
+Only the nonzero test of check_preconditions, the decision system and
+the witness check read the coefficients lambda.  The stages from the
+quartic to the residual family read the points alone and are memoised on
+the PointSet object, so a further form over it pays only for its own.
 """
 
 from __future__ import annotations
@@ -96,7 +101,6 @@ class HilbertBurch:
     column per syzygy of (Q, quintics) in degree 6.
     """
 
-    pointset: PointSet
     Q: GradedPoly
     quintics: tuple[GradedPoly, GradedPoly, GradedPoly, GradedPoly]
     M: tuple[tuple[GradedPoly, ...], ...]
@@ -142,12 +146,9 @@ class Octic14Report:
     witness: np.ndarray | None = None
 
 
-def _require_octic14_shape(inst: Instance) -> None:
-    if inst.pointset.n != 2 or inst.degree != 8 or inst.length != 14:
-        raise ValueError(
-            "pipeline needs 14 points in the projective plane and degree 8, "
-            f"got n={inst.pointset.n}, d={inst.degree}, ell={inst.length}"
-        )
+def octic14_shape(inst: Instance) -> bool:
+    """14 plane points in degree 8, the one shape the pipeline is stated for."""
+    return inst.pointset.n == 2 and inst.degree == 8 and inst.length == 14
 
 
 def check_preconditions(inst: Instance) -> tuple:
@@ -156,7 +157,11 @@ def check_preconditions(inst: Instance) -> tuple:
     the offending test number and computed value.  Test 3 needs only
     k_3(A) >= 10, so its failure value is the first dependent subset in
     combinations order, not the exact k_3."""
-    _require_octic14_shape(inst)
+    if not octic14_shape(inst):
+        raise ValueError(
+            "pipeline needs 14 points in the projective plane and degree 8, "
+            f"got n={inst.pointset.n}, d={inst.degree}, ell={inst.length}"
+        )
     A = inst.pointset
     h4 = evaluation_matrix(A, 4).rank()
     # h_A never decreases and never exceeds the 14 points, so h_A(4) = 14
@@ -228,8 +233,11 @@ def hilbert_burch(A: PointSet) -> HilbertBurch:
     quartic multiples and of the vectors before them (ideal_past_quartic),
     and the columns of M are the canonical kernel basis of the degree-6
     relation map (f, g1..g4) -> f*Q + sum_j g_j * Q_j, so the whole
-    structure is reproducible bit for bit.
+    structure is reproducible bit for bit.  Memoised on A; a failure
+    is not, so it is raised again on the next call.
     """
+    if "hb" in A._octic14:
+        return A._octic14["hb"]
     ctx = A.ctx
     p = ctx.p
     Q = unique_quartic(A)
@@ -253,8 +261,9 @@ def hilbert_burch(A: PointSet) -> HilbertBurch:
         lins = [GradedPoly(ctx, lin_basis, v[6 + 3 * j:9 + 3 * j]) for j in range(4)]
         columns.append((conic, *lins))
     M = tuple(tuple(columns[k][i] for k in range(4)) for i in range(5))
-    hb = HilbertBurch(A, Q, tuple(quintics), M)
+    hb = HilbertBurch(Q, tuple(quintics), M)
     hb.quartic_scale  # expand the 4x4 minor now, so a bad one fails here
+    A._octic14["hb"] = hb
     return hb
 
 
@@ -268,7 +277,7 @@ def normalization_check(hb: HilbertBurch) -> tuple[DenseMatrix, int]:
     certifies that fixing those two conics to zero loses no family
     member.
     """
-    ctx = hb.pointset.ctx
+    ctx = hb.Q.ctx
     row1 = [mult_map(L, 2).a for L in hb.M[1]]
     row3 = [mult_map(L, 2).a for L in hb.M[3]]
     C = np.vstack([np.hstack(row1), np.hstack(row3)])
@@ -285,7 +294,7 @@ def residual_family(hb: HilbertBurch) -> ResidualFamily:
     the conic row leaves numeric cubic cofactors, so the minors are
     exactly linear in the parameters.
     """
-    ctx = hb.pointset.ctx
+    ctx = hb.Q.ctx
     lower = hb.lower_block()  # lower[i][k] = row i+2, column k+1 of M
     smlow = tuple(tuple(lower[k][i] for k in range(4)) for i in range(4))
     # The cofactor of smlow without row j and column k is the minor of
@@ -303,6 +312,18 @@ def residual_family(hb: HilbertBurch) -> ResidualFamily:
         minors.append(ParamPoly(ctx, monomial_basis(2, 5), -np.hstack(blocks)))
     # det(smlow) is det of the transposed lower block of M
     return ResidualFamily(hb, smlow, tuple(minors), hb.quartic_scale)
+
+
+def point_stages(A: PointSet) -> tuple:
+    """(hb, C, family): Hilbert-Burch, the normalization matrix and the
+    residual family of A, or None for the family when C has rank below
+    12.  Memoised on A; a stage that raises stores nothing, so the next
+    call raises again."""
+    if "stages" not in A._octic14:
+        hb = hilbert_burch(A)
+        Cm, crank = normalization_check(hb)
+        A._octic14["stages"] = (hb, Cm, residual_family(hb) if crank == 12 else None)
+    return A._octic14["stages"]
 
 
 def system_rows_full(inst: Instance, fam: ResidualFamily) -> np.ndarray:
@@ -464,14 +485,12 @@ def certify_octic14(inst: Instance, mode: str = FULL) -> Certificate:
             evidence=(("failed_test", e.test), ("computed", str(e.value))),
         )
     try:
-        hb = hilbert_burch(inst.pointset)
-        Cm, crank = normalization_check(hb)
-        evidence.append(("normalization_rank", crank))
-        if crank != 12:
+        _, Cm, fam = point_stages(inst.pointset)
+        evidence.append(("normalization_rank", Cm.rank()))
+        if fam is None:
             return Certificate(DEGENERATE,
-                               reason=f"normalization matrix has rank {crank} != 12",
+                               reason=f"normalization matrix has rank {Cm.rank()} != 12",
                                evidence=tuple(evidence))
-        fam = residual_family(hb)
         report = second_decomposition_system(inst, fam, mode=mode)
     except (QuarticNotUnique, SyzygyDimension, MinorDegenerate,
             DegenerateCofactors, SelectionFailed) as e:

@@ -67,12 +67,12 @@ class PointSet:
 
     Coordinate representatives are fixed at construction (reduced mod p)
     and the order is meaningful for reporting.  Floats, complex numbers
-    and bools are refused with TypeError.  Evaluation matrices are cached
-    per degree and Kruskal levels per (degree, subset size), since the
-    value is immutable.
+    and bools are refused with TypeError.  Evaluation matrices, Kruskal
+    levels and the octic14 point stages are memoised on the object, since
+    the value is immutable.
     """
 
-    __slots__ = ("ctx", "n", "points", "_ev_cache", "_kruskal_levels")
+    __slots__ = ("ctx", "n", "points", "_ev_cache", "_kruskal_levels", "_octic14")
 
     def __init__(self, ctx: PrimeContext, points):
         def residue(c):  # operator.index refuses floats and numpy bools
@@ -98,6 +98,7 @@ class PointSet:
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "_ev_cache", {})
         object.__setattr__(self, "_kruskal_levels", {})
+        object.__setattr__(self, "_octic14", {})
 
     def __setattr__(self, *_):
         raise AttributeError("PointSet is immutable")

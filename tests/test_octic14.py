@@ -1,6 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
+from waringcert import octic14
 from waringcert import (
     FULL,
     PAPER13,
@@ -14,7 +17,9 @@ from waringcert import (
     hilbert_burch,
     mult_map,
     normalization_check,
+    point_stages,
     residual_family,
+    run_criteria,
     second_decomposition_system,
     unique_quartic,
     verify_witness,
@@ -26,6 +31,7 @@ from waringcert.errors import (
 )
 from waringcert.ffield import matmul_mod, rank_mod, row_echelon
 from waringcert.octic14 import (
+    MODES,
     N_PARAMS,
     SELECTION_RETRIES,
     _instance_seed,
@@ -33,6 +39,7 @@ from waringcert.octic14 import (
     system_rows_full,
 )
 from waringcert.polys import GradedPoly, det_poly, monomial_basis
+from waringcert.storage import build_report
 
 from conftest import fixture_instance, random_pointset
 
@@ -228,8 +235,10 @@ def test_quintic_minors_span_degree5_piece(ref_points, hb):
 
 
 def test_hilbert_burch_deterministic(ref_points):
+    # a second PointSet object of the same points misses the memo
     a = hilbert_burch(ref_points)
-    b = hilbert_burch(ref_points)
+    b = hilbert_burch(PointSet(ref_points.ctx, ref_points.points))
+    assert a is not b
     assert all(a.M[i][k] == b.M[i][k] for i in range(5) for k in range(4))
 
 
@@ -276,7 +285,7 @@ def test_normalization_degenerate_repeated_rows(hb):
 
     M = list(hb.M)
     M[3] = M[1]
-    fake = HilbertBurch(hb.pointset, hb.Q, hb.quintics, tuple(M))
+    fake = HilbertBurch(hb.Q, hb.quintics, tuple(M))
     _, crank = normalization_check(fake)
     assert crank < 12
 
@@ -428,6 +437,66 @@ def test_certify_rejects_wrong_shape(ctx):
     ps = random_pointset(ctx, rng, 9, n=2)
     with pytest.raises(ValueError):
         certify_octic14(Instance(ps, 8, [1] * 9))
+
+
+# ------------------------------------------- the point-only stages, memoised
+
+def report_digest(inst, mode):
+    final, results = run_criteria(inst, mode=mode)
+    return build_report(final, results, {"mode": mode}, "")["digest"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_second_form_on_the_same_points(mode):
+    # T2's coefficients on T1's PointSet object, after T1, reuse its
+    # stages and report exactly what T2 loaded cold reports
+    t1 = fixture_instance("optics_T1")
+    run_criteria(t1, mode=mode)
+    again = Instance(t1.pointset, 8, fixture_instance("optics_T2").lam)
+    assert report_digest(again, mode) == report_digest(fixture_instance("optics_T2"), mode)
+
+
+def test_memoised_stages_do_no_hilbert_burch_work(monkeypatch):
+    calls = {"unique_quartic": 0, "kernel_mod": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(octic14, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(octic14, name, counted)
+    t1 = fixture_instance("optics_T1")
+    certify_octic14(t1, mode=FULL)
+    assert calls == {"unique_quartic": 1, "kernel_mod": 1}
+    t2_lam = fixture_instance("optics_T2").lam
+    for inst, mode in ((Instance(t1.pointset, 8, t2_lam), FULL), (t1, PAPER13)):
+        calls.update(unique_quartic=0, kernel_mod=0)
+        certify_octic14(inst, mode=mode)
+        assert calls == {"unique_quartic": 0, "kernel_mod": 0}
+
+
+def test_memo_leaves_no_cyclic_garbage():
+    # nothing memoised on a point set points back to it, so dropping the
+    # instance frees everything by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        inst = fixture_instance("optics_T1")
+        for lam in (inst.lam, fixture_instance("optics_T2").lam):
+            for mode in MODES:
+                certify_octic14(Instance(inst.pointset, 8, lam), mode=mode)
+        del inst
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_failed_stage_is_not_memoised(ctx):
+    ps = PointSet(ctx, [(1, t, pow(t, 3, ctx.p)) for t in range(14)])
+    for _ in range(2):
+        with pytest.raises(QuarticNotUnique):
+            hilbert_burch(ps)
+        with pytest.raises(QuarticNotUnique):
+            point_stages(ps)
+    assert ps._octic14 == {}
 
 
 # ------------------------------- shortcuts against the direct constructions

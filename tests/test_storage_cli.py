@@ -312,6 +312,18 @@ def test_syzygy_dump():
     assert len(dump["syzygy_matrix"][0]) == 4
 
 
+@pytest.mark.parametrize("degree", (6, 9))
+def test_syzygy_refuses_other_shapes(tmp_path, degree):
+    # T1's fourteen points in another degree: the pipeline is stated for 8
+    obj = json.loads((FIXTURES / "optics_T1.json").read_text())
+    obj["degree"] = degree
+    path = tmp_path / f"t1_degree{degree}.json"
+    path.write_text(json.dumps(obj))
+    res = run_cli("syzygy", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and res.stdout == ""
+
+
 def test_instance_obj_is_canonical(t1):
     text = canonical_json(instance_to_obj(t1))
     assert text == canonical_json(json.loads(text))
