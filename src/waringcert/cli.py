@@ -42,6 +42,7 @@ from .storage import (
     check_evaluation_size,
     instance_to_obj,
     load_instance,
+    save_instance,
     save_report,
 )
 
@@ -98,13 +99,10 @@ def cmd_gen(args) -> int:
                 "attempts": gen.attempts}
     if gen.witness_data and gen.witness_data.get("residual_points"):
         metadata["residual_points"] = gen.witness_data["residual_points"]
-    obj = instance_to_obj(gen.instance, metadata)
-    text = canonical_json(obj)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        save_instance(gen.instance, args.out, metadata)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(canonical_json(instance_to_obj(gen.instance, metadata)))
     return EXIT_VERDICT
 
 

@@ -125,14 +125,13 @@ def admissible_splits(d: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def reshaped_kruskal_certify(inst: Instance,
-                             split: tuple[int, int, int] | None = None) -> Certificate:
+def reshaped_kruskal_certify(inst: Instance) -> Certificate:
     """Kruskal-type certificate from three reshaping degrees.
 
     With 2*ell(A) <= k_{d1} + k_{d2} + k_{d3} - 2 the form has rank
-    ell(A) and the decomposition is unique.  With split=None all splits
-    are tried (most balanced first) and the first success wins.  A split
-    whose bound is below ell(A) even with every k_{di} at its cap
+    ell(A) and the decomposition is unique.  Every split is tried, most
+    balanced first, and the first success wins.  A split whose bound
+    is below ell(A) even with every k_{di} at its cap
     min(C(n+di, n), ell(A)) is skipped, and that cap bound recorded.
     Otherwise the ranks are found in order, each by descending from its
     cap to the floor f_i = 2*ell(A) + 2 - (the ranks already found) -
@@ -143,16 +142,12 @@ def reshaped_kruskal_certify(inst: Instance,
     d = inst.degree
     if d < 3:
         raise BadSplit(f"degree {d} < 3 admits no split")
-    splits = [split] if split is not None else admissible_splits(d)
-    for s in splits:
-        if len(s) != 3 or sum(s) != d or not (s[0] >= s[1] >= s[2] >= 1):
-            raise BadSplit(f"bad split {s} for degree {d}")
     rk = check_nonredundant(inst)
     ell = inst.length
     n = inst.pointset.n
     evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
     best = None
-    for s in splits:
+    for s in admissible_splits(d):
         name = "_".join(map(str, s))
         caps = [min(comb(n + di, n), ell) for di in s]
         bound = Fraction(sum(caps) - 2, 2)

@@ -31,7 +31,7 @@ class InhomogeneousDeterminant(WaringError):
 
 
 class BadSplit(WaringError):
-    """Degree split must satisfy d1 >= d2 >= d3 >= 1 and sum to d >= 3."""
+    """A degree below 3 has no split d = d1 + d2 + d3 with d3 >= 1."""
 
 
 class RedundancyDetected(WaringError):
@@ -66,10 +66,6 @@ class SyzygyDimension(WaringError):
 
 class MinorDegenerate(WaringError):
     """A structural minor vanished identically."""
-
-
-class DegenerateCofactors(WaringError):
-    """All cubic cofactors of the residual matrix vanish."""
 
 
 class SelectionFailed(WaringError):

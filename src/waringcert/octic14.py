@@ -50,7 +50,6 @@ from .criteria import (
     NOT_IDENTIFIABLE,
 )
 from .errors import (
-    DegenerateCofactors,
     MinorDegenerate,
     PreconditionFailed,
     QuarticNotUnique,
@@ -105,15 +104,12 @@ class HilbertBurch:
     quintics: tuple[GradedPoly, GradedPoly, GradedPoly, GradedPoly]
     M: tuple[tuple[GradedPoly, ...], ...]
 
-    def lower_block(self) -> tuple[tuple[GradedPoly, ...], ...]:
-        return self.M[1:]
-
     @cached_property
     def quartic_scale(self) -> int:
         """The nonzero scalar mu with det(lower block) = mu * Q; raises
         MinorDegenerate when the 4x4 linear minor is not such a multiple."""
         return _proportionality(
-            det_poly([list(row) for row in self.lower_block()]), self.Q,
+            det_poly([list(row) for row in self.M[1:]]), self.Q,
             "the 4x4 linear minor of M is not a nonzero multiple of the quartic")
 
 
@@ -121,17 +117,13 @@ class HilbertBurch:
 class ResidualFamily:
     """The 12-parameter family of candidate second decompositions.
 
-    sm_lower is the transpose of M's linear block; the four param_minors
-    are the quintic minors of the family's syzygy matrix, each exactly
-    linear in the parameters (the conic row is (0, q2(a1..a6), 0,
-    q4(a7..a12))).  q_scale is the nonzero scalar mu with
-    det(sm_lower) = mu * Q: every family member lies on the same quartic.
+    The four param_minors are the quintic minors of the family's syzygy
+    matrix, each exactly linear in the parameters (the conic row is
+    (0, q2(a1..a6), 0, q4(a7..a12))).
     """
 
     base: HilbertBurch
-    sm_lower: tuple[tuple[GradedPoly, ...], ...]
     param_minors: tuple[ParamPoly, ParamPoly, ParamPoly, ParamPoly]
-    q_scale: int
 
 
 @dataclass(frozen=True)
@@ -142,7 +134,6 @@ class Octic14Report:
     system_matrix: DenseMatrix
     system_rank: int
     selected_columns: tuple[int, ...] | None = None
-    selection_attempt: int | None = None
     witness: np.ndarray | None = None
 
 
@@ -220,7 +211,7 @@ def ideal_past_quartic(A: PointSet, Q: GradedPoly, d: int) -> list[np.ndarray]:
     and of those before them: the pivots past Q * S_{d-4} in one echelon
     form of [mult_map(Q, d) | kernel]."""
     ker = evaluation_matrix(A, d).kernel_basis()
-    qs = mult_map(Q, d).a
+    qs = mult_map(Q, d)
     _, pivots = row_echelon(np.column_stack([qs] + ker), A.ctx.p)
     return [ker[c - qs.shape[1]] for c in pivots if c >= qs.shape[1]]
 
@@ -249,7 +240,7 @@ def hilbert_burch(A: PointSet) -> HilbertBurch:
             "quartic multiples, expected 7"
         )
     quintics = [GradedPoly(ctx, monomial_basis(2, 5), v) for v in past[:4]]
-    phi = np.hstack([mult_map(Q, 6).a] + [mult_map(q, 6).a for q in quintics])
+    phi = np.hstack([mult_map(Q, 6)] + [mult_map(q, 6) for q in quintics])
     syz = kernel_mod(phi, p)
     if len(syz) != 4:
         raise SyzygyDimension(f"syzygy kernel has dimension {len(syz)}, expected 4")
@@ -278,8 +269,8 @@ def normalization_check(hb: HilbertBurch) -> tuple[DenseMatrix, int]:
     member.
     """
     ctx = hb.Q.ctx
-    row1 = [mult_map(L, 2).a for L in hb.M[1]]
-    row3 = [mult_map(L, 2).a for L in hb.M[3]]
+    row1 = [mult_map(L, 2) for L in hb.M[1]]
+    row3 = [mult_map(L, 2) for L in hb.M[3]]
     C = np.vstack([np.hstack(row1), np.hstack(row3)])
     Cm = DenseMatrix(ctx, C)
     return Cm, Cm.rank()
@@ -295,23 +286,22 @@ def residual_family(hb: HilbertBurch) -> ResidualFamily:
     exactly linear in the parameters.
     """
     ctx = hb.Q.ctx
-    lower = hb.lower_block()  # lower[i][k] = row i+2, column k+1 of M
-    smlow = tuple(tuple(lower[k][i] for k in range(4)) for i in range(4))
-    # The cofactor of smlow without row j and column k is the minor of
-    # its transpose, the lower block, without row k and column j.
+    # MinorDegenerate unless det(M[1:]) = mu * Q with mu != 0, so neither
+    # row of cofactors below vanishes: det(M[1:]) expands along each
+    hb.quartic_scale
+    lower = hb.M[1:]  # lower[i][k] = row i+2, column k+1 of M
+    # The cofactor of the transposed block without row j and column k is
+    # the minor of the lower block without row k and column j.
     cofactors = [maximal_minors([list(row) for i, row in enumerate(lower) if i != k])
                  for k in (1, 3)]
-    if all(c.is_zero() for minors_k in cofactors for c in minors_k.values()):
-        raise DegenerateCofactors("all cubic cofactors vanish")
     # Along the conic row (0, q2, 0, q4) minor j is -q2 * C_j1 - q4 * C_j3;
     # q * C is linear in the six coefficients of q through mult_map(C, 5).
     minors = []
     for j in range(4):
         others = tuple(c for c in range(4) if c != j)
-        blocks = [mult_map(minors_k[others], 5).a for minors_k in cofactors]
+        blocks = [mult_map(minors_k[others], 5) for minors_k in cofactors]
         minors.append(ParamPoly(ctx, monomial_basis(2, 5), -np.hstack(blocks)))
-    # det(smlow) is det of the transposed lower block of M
-    return ResidualFamily(hb, smlow, tuple(minors), hb.quartic_scale)
+    return ResidualFamily(hb, tuple(minors))
 
 
 def point_stages(A: PointSet) -> tuple:
@@ -343,14 +333,14 @@ def system_rows_full(inst: Instance, fam: ResidualFamily) -> np.ndarray:
 
 def _octic_columns(fam: ResidualFamily, avec: np.ndarray) -> np.ndarray:
     """45 x 40 array: the cubic multiples of the specialized minors."""
-    return np.hstack([mult_map(pm.specialize(avec), 8).a for pm in fam.param_minors])
+    return np.hstack([mult_map(pm.specialize(avec), 8) for pm in fam.param_minors])
 
 
 def residual_octic_generators(fam: ResidualFamily, avec) -> np.ndarray:
     """Spanning vectors (as rows, 55 x 45) of the degree-8 ideal piece of
     the family member at the given parameters: quartic times all
     quartics plus minors times all cubics."""
-    qs4 = mult_map(fam.base.Q, 8).a  # 45 x 15
+    qs4 = mult_map(fam.base.Q, 8)  # 45 x 15
     cols = _octic_columns(fam, np.asarray(avec))
     return np.hstack([qs4, cols]).T
 
@@ -391,12 +381,10 @@ def second_decomposition_system(inst: Instance, fam: ResidualFamily,
     if mode == FULL:
         sysmat = full_rows
         selected = None
-        attempt_used = None
     else:
         ev8 = evaluation_matrix(inst.pointset, 8)
         ideal_dim = ev8.cols - ev8.rank()  # dim I_A(8)
         selected = None
-        attempt_used = None
         for attempt in range(SELECTION_RETRIES):
             rng = np.random.default_rng(_instance_seed(inst, 0x13 + attempt))
             avec = rng.integers(1, p, size=N_PARAMS, dtype=np.int64)
@@ -405,7 +393,6 @@ def second_decomposition_system(inst: Instance, fam: ResidualFamily,
             if ideal_dim + len(pivots) != 44 or len(pivots) != 13:
                 continue
             selected = tuple(pivots)
-            attempt_used = attempt
             break
         if selected is None:
             raise SelectionFailed(
@@ -419,7 +406,6 @@ def second_decomposition_system(inst: Instance, fam: ResidualFamily,
         system_matrix=system,
         system_rank=srank,
         selected_columns=selected,
-        selection_attempt=attempt_used,
         witness=(normalize_projective(system.kernel_basis()[0], p)
                  if srank <= 11 else None),
     )
@@ -440,7 +426,7 @@ def verify_witness(inst: Instance, fam: ResidualFamily, astar) -> dict:
     if not np.any(astar):
         raise WitnessRejected("nonzero", "witness parameter vector is zero")
     record = {"a": [int(x) for x in astar]}
-    xQ = mult_map(fam.base.Q, 5).a.T  # 3 x 21
+    xQ = mult_map(fam.base.Q, 5).T  # 3 x 21
     specs = [pm.specialize(astar).coeffs for pm in fam.param_minors]
     deg5 = np.vstack([xQ, np.array(specs)])
     record["residual_dim_5"] = rank_mod(deg5, p)
@@ -493,7 +479,7 @@ def certify_octic14(inst: Instance, mode: str = FULL) -> Certificate:
                                evidence=tuple(evidence))
         report = second_decomposition_system(inst, fam, mode=mode)
     except (QuarticNotUnique, SyzygyDimension, MinorDegenerate,
-            DegenerateCofactors, SelectionFailed) as e:
+            SelectionFailed) as e:
         return Certificate(DEGENERATE, reason=f"{type(e).__name__}: {e}",
                            evidence=tuple(evidence))
     evidence.append(("system_mode", report.mode))

@@ -115,9 +115,6 @@ class PointSet:
     def canonical_keys(self) -> list[tuple[int, ...]]:
         return [_canonical_point(q, self.ctx.p) for q in self.points]
 
-    def subset(self, indices) -> "PointSet":
-        return PointSet(self.ctx, [self.points[i] for i in indices])
-
     def union(self, other: "PointSet") -> "PointSet":
         """Union keeping self's order, then the new points of other."""
         if other.ctx != self.ctx or other.n != self.n:
@@ -142,13 +139,6 @@ class HilbertProfile:
     values: tuple[int, ...]
     differences: tuple[int, ...]
     length: int
-
-    def h(self, j: int) -> int:
-        if j < 0:
-            return 0
-        if j >= len(self.values):
-            raise IndexError(f"profile only covers degrees up to {len(self.values) - 1}")
-        return self.values[j]
 
     def dh(self, j: int) -> int:
         if j < 0:
@@ -382,8 +372,6 @@ def span_intersection_dim(A: PointSet, B: PointSet, d: int) -> int:
     Grassmann on the spans: dim(span A) + dim(span B) - dim(span A + span B),
     where the dimension of the joint span is h_{A union B}(d) - 1.
     """
-    if A.ctx != B.ctx or A.n != B.n:
-        raise ValueError("point sets live in different spaces")
     hA = evaluation_matrix(A, d).rank()
     hB = evaluation_matrix(B, d).rank()
     hU = evaluation_matrix(A.union(B), d).rank()
@@ -393,6 +381,4 @@ def span_intersection_dim(A: PointSet, B: PointSet, d: int) -> int:
 def cap_formula_dim(A: PointSet, B: PointSet, d: int) -> int:
     """The closed-form side of the same dimension:
     ell(A intersect B) - 1 + h^1_{A union B}(d)."""
-    if A.ctx != B.ctx or A.n != B.n:
-        raise ValueError("point sets live in different spaces")
     return A.intersection_size(B) - 1 + h1_defect(A.union(B), d)

@@ -28,7 +28,7 @@ from .errors import (
     InhomogeneousDeterminant,
     ZeroPoint,
 )
-from .ffield import DenseMatrix, PrimeContext, as_residues, matmul_mod
+from .ffield import PrimeContext, as_residues, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class MonomialBasis:
     @property
     def size(self) -> int:
         return len(self.exponents)
-
-    def index_of(self, exps: tuple[int, ...]) -> int:
-        return _exponent_index(self.n, self.d)[exps]
 
 
 # Bases are cached per (n, d); the bound keeps a long run over many
@@ -171,7 +168,7 @@ class GradedPoly:
         if other.n != self.n:
             raise DegreeMismatch("mixed variable counts")
         d = self.degree + other.degree
-        prod = matmul_mod(mult_map(self, d).a, other.coeffs, self.ctx.p)
+        prod = matmul_mod(mult_map(self, d), other.coeffs, self.ctx.p)
         return GradedPoly(self.ctx, monomial_basis(self.n, d), prod)
 
     def eval(self, point) -> int:
@@ -228,8 +225,8 @@ def product_table(n: int, a: int, b: int) -> np.ndarray:
     return t
 
 
-def mult_map(f: GradedPoly, d: int) -> DenseMatrix:
-    """Matrix of g -> f*g from degree d - deg(f) to degree d.
+def mult_map(f: GradedPoly, d: int) -> np.ndarray:
+    """Matrix (int64 residues) of g -> f*g from degree d - deg(f) to degree d.
 
     Rows run over the degree-d basis, columns over the source basis.
     """
@@ -240,7 +237,7 @@ def mult_map(f: GradedPoly, d: int) -> DenseMatrix:
     # within a column the rows of the table are distinct, so no entry is
     # written twice
     out[table, np.arange(table.shape[1])] = f.coeffs[:, None]
-    return DenseMatrix(f.ctx, out)
+    return out
 
 
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)

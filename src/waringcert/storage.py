@@ -168,11 +168,6 @@ def _plain(value):
     return str(value)
 
 
-def report_digest_payload(report: dict) -> dict:
-    """The part of a report covered by its digest."""
-    return {k: v for k, v in report.items() if k not in ("digest", "timings")}
-
-
 def save_report(report: dict, path) -> str:
     text = canonical_json(report)
     Path(path).write_text(text)

@@ -51,10 +51,11 @@ def test_nonredundancy_rejects_dependent_images(ctx):
 def test_kruskal_certifies_11_points_degree8(ctx):
     rng = np.random.default_rng(1)
     inst = random_instance(ctx, rng, 11, 8)
-    cert = reshaped_kruskal_certify(inst, (3, 3, 2))
+    cert = reshaped_kruskal_certify(inst)
     assert cert.display() == "IdentifiableOfRank(11)"
     ev = cert.evidence_dict()
-    assert "kruskal_bound_3_3_2" in ev
+    # (3, 3, 2) is the most balanced split of 8, so it is tried first
+    assert "kruskal_bound_3_3_2" in ev and ev["certifying_split"] == "3+3+2"
 
 
 def test_kruskal_inconclusive_at_14(ctx, t1):
@@ -196,7 +197,7 @@ def test_reshaped_kruskal_descends_to_a_rank_below_its_cap(ctx):
         pts = line + [tuple(int(c) for c in row)
                       for row in rng.integers(1, ctx.p, size=(ell - 4, 3))]
         inst = Instance(PointSet(ctx, pts), 8, rng.integers(1, ctx.p, size=ell))
-        cert = reshaped_kruskal_certify(inst, (3, 3, 2))
+        cert = reshaped_kruskal_certify(inst)
         assert cert.evidence_dict()["kruskal_bound_3_3_2"] == expect
         assert kruskal_rank(inst.pointset, 2) == 3
         assert cert.verdict == ("identifiable" if ell == 10 else "inconclusive")
@@ -216,19 +217,16 @@ def test_driver_skips_plane_criteria_in_p3(ctx):
 def test_kruskal_inconclusive_small_degree(ctx):
     rng = np.random.default_rng(2)
     inst = random_instance(ctx, rng, 5, 3)
-    cert = reshaped_kruskal_certify(inst, (1, 1, 1))
+    cert = reshaped_kruskal_certify(inst)
     assert cert.verdict == "inconclusive"
 
 
 def test_kruskal_bad_split(ctx):
+    # no split d1 >= d2 >= d3 >= 1 of a degree below 3
     rng = np.random.default_rng(3)
-    inst = random_instance(ctx, rng, 5, 8)
+    inst = random_instance(ctx, rng, 5, 2)
     with pytest.raises(BadSplit):
-        reshaped_kruskal_certify(inst, (5, 2, 1, 0))
-    with pytest.raises(BadSplit):
-        reshaped_kruskal_certify(inst, (2, 3, 3))
-    with pytest.raises(BadSplit):
-        reshaped_kruskal_certify(inst, (6, 2, 0))
+        reshaped_kruskal_certify(inst)
 
 
 # ----------------------------------------------------------------------- range

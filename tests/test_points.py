@@ -666,7 +666,7 @@ def test_cbh1_proper_subsets_drop_defect(ctx):
     assert full == 1
     for _ in range(10):
         keep = sorted(rng.choice(6, size=int(rng.integers(1, 6)), replace=False))
-        sub = z.subset(keep)
+        sub = PointSet(z.ctx, [z.points[i] for i in keep])
         assert h1_defect(sub, d) < full
 
 
@@ -675,7 +675,7 @@ def test_subset_monotonicity(ctx):
     for _ in range(10):
         z = random_pointset(ctx, rng, 10, n=2)
         keep = sorted(rng.choice(10, size=6, replace=False))
-        sub = z.subset(keep)
+        sub = PointSet(z.ctx, [z.points[i] for i in keep])
         pz = hilbert_profile(z, 8)
         ps = hilbert_profile(sub, 8)
         assert all(ps.values[j] <= pz.values[j] for j in range(9))
