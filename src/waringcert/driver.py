@@ -5,8 +5,9 @@ Order: the two rank/Hilbert criteria, then the reshaped Kruskal bound
 pipeline when its shape applies.  The run stops at the first criterion
 that settles identifiability either way; a minimality-only verdict is
 kept as a fallback.  A selected criterion that is not stated for the
-instance's shape (range and ranger outside the plane, octic14 when named
-for another shape) is skipped and recorded as inconclusive.  Library errors about the instance (redundant
+instance's shape (range and ranger outside the plane, reshaped Kruskal
+below degree 3, octic14 when named for another shape) is skipped and
+recorded as inconclusive.  Library errors about the instance (redundant
 decomposition, failed pipeline checks) become degenerate results, so a
 batch run always produces a certificate per instance; any other
 exception is a bug and propagates.
@@ -44,6 +45,8 @@ def _not_applicable(name: str, inst: Instance) -> str | None:
     """Why the criterion is not stated for this instance, or None."""
     if name in ("range", "ranger") and inst.pointset.n != 2:
         return f"stated for plane point sets, got n = {inst.pointset.n}"
+    if name == "kruskal" and inst.degree < 3:
+        return f"stated for degree >= 3, got d = {inst.degree}"
     if name == "octic14" and not octic14_shape(inst):
         return "stated for 14 plane points in degree 8"
     return None

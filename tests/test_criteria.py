@@ -214,6 +214,16 @@ def test_driver_skips_plane_criteria_in_p3(ctx):
         assert cert.evidence_dict()["skipped"] == "stated for plane point sets, got n = 3"
 
 
+def test_driver_skips_kruskal_below_degree_3():
+    # six general points in degree 2: no criterion decides, so the run
+    # ends inconclusive instead of on the reshaped criterion's BadSplit
+    final, results = run_criteria(fixture_instance("six_general"))
+    assert final.verdict == "inconclusive"
+    kruskal = dict(results)["kruskal"]
+    assert kruskal.verdict == "inconclusive"
+    assert kruskal.evidence_dict()["skipped"] == "stated for degree >= 3, got d = 2"
+
+
 def test_kruskal_inconclusive_small_degree(ctx):
     rng = np.random.default_rng(2)
     inst = random_instance(ctx, rng, 5, 3)

@@ -25,8 +25,11 @@ from waringcert import (
     verify_witness,
 )
 from waringcert.errors import (
+    MinorDegenerate,
     PreconditionFailed,
     QuarticNotUnique,
+    SelectionFailed,
+    SyzygyDimension,
     WitnessRejected,
 )
 from waringcert.ffield import matmul_mod, rank_mod, row_echelon
@@ -324,6 +327,18 @@ def test_param_minors_linear_in_parameters(fam, ctx):
         assert lhs == rhs
 
 
+def test_zero_linear_row_is_a_degenerate_minor(hb):
+    # a zero row of the linear block zeroes every cofactor along it and
+    # det(M[1:]) with them, which quartic_scale refuses
+    from waringcert.octic14 import HilbertBurch
+
+    zero = GradedPoly.zero(hb.Q.ctx, 2, 1)
+    M = list(hb.M)
+    M[2] = (zero,) * 4
+    with pytest.raises(MinorDegenerate):
+        residual_family(HilbertBurch(hb.Q, hb.quintics, tuple(M)))
+
+
 def test_family_quartic_minor_shares_q(fam):
     assert fam.base.quartic_scale != 0
     direct = det_poly([list(r) for r in zip(*fam.base.M[1:])])
@@ -437,6 +452,26 @@ def test_certify_rejects_wrong_shape(ctx):
     ps = random_pointset(ctx, rng, 9, n=2)
     with pytest.raises(ValueError):
         certify_octic14(Instance(ps, 8, [1] * 9))
+
+
+@pytest.mark.parametrize("error", (QuarticNotUnique, SyzygyDimension, MinorDegenerate))
+def test_certify_turns_a_failed_point_stage_into_degenerate(monkeypatch, t1, error):
+    def failing(A):
+        raise error("stage failed")
+    monkeypatch.setattr(octic14, "point_stages", failing)
+    cert = certify_octic14(t1)
+    assert cert.verdict == "degenerate"
+    assert cert.reason == f"{error.__name__}: stage failed"
+    assert [key for key, _ in cert.evidence][-1] == "kruskal_3_subsets"
+
+
+def test_certify_turns_a_failed_selection_into_degenerate(monkeypatch, t1):
+    monkeypatch.setattr(octic14, "SELECTION_RETRIES", 0)
+    cert = certify_octic14(t1, mode=PAPER13)
+    assert cert.verdict == "degenerate"
+    assert cert.reason.startswith(f"{SelectionFailed.__name__}: ")
+    assert cert.evidence_dict()["normalization_rank"] == 12
+    assert certify_octic14(t1, mode=FULL).verdict == "identifiable"
 
 
 # ------------------------------------------- the point-only stages, memoised

@@ -121,9 +121,9 @@ FIXTURE_REPORT_DIGESTS = {
     "optics_T2/octic14/paper13":
         "941829b8331190dcf57004b73c79cc3fa68217072ee0b65e3a54a3df636f8103",
     "six_five_aligned/all/full":
-        "3eed68e3cabc5958bd79debf30bdaa0620d168ead537875e8cf2e409b0f2e75d",
+        "14251eac1877229db8e9f94862999b74a1fded586a140fa55b68e4b079ddaa84",
     "six_five_aligned/all/paper13":
-        "c16e094700ea6924268260eb28d336681cb458ba5259a2ad87b667daa7cac040",
+        "a793e9ea19b14592096ecd6eaccfd88eb3b9cd0bb277a364101f966dba349839",
     "six_five_aligned/range/full":
         "e62c620466bd8415154c94dd1d1242e7c39202798d9578fd93e4857e65b71a96",
     "six_five_aligned/range/paper13":
@@ -133,17 +133,17 @@ FIXTURE_REPORT_DIGESTS = {
     "six_five_aligned/ranger/paper13":
         "98fdaf02cc3b4aeb4d2087f2e3fb25aaa2c5f23a134567ab4f7adde96274c3aa",
     "six_five_aligned/kruskal/full":
-        "687497d4cc91a6cd9815dc6ed909d5787c6cf023d353eba5e63f2db1ff5a0000",
+        "5c3bc61749ae0190f97a9bc1474479f6d2b9ebfa7383ee681eefa2c9657c6f5e",
     "six_five_aligned/kruskal/paper13":
-        "02f214329188d9fffec0954b3e67b0acdb06ba2ea529731924ecfa422159dcca",
+        "4f2e35ee33f8988a137c3e9e994ac973d87c8f21630133436725bf0e2f01aaa3",
     "six_five_aligned/octic14/full":
         "e4e9fac4bd98e0500df51aee643f5da29756c169793f3b19d0d099d8d9547a30",
     "six_five_aligned/octic14/paper13":
         "0021b092888c2a0893d952102339800072de79db133a60161ca8d52406b5e05c",
     "six_general/all/full":
-        "0260cb59fd039ba096f32bb168a69f225681ddd6bbf1da3f9210b239d6e3b212",
+        "0771a8d5292a0b96e41fb66f6c6183afba2ff8fb11a49650991dd182989117be",
     "six_general/all/paper13":
-        "14effdf89664b0296fc2a06897956adb1aab9da6223b69963bd5f2545a2b7e14",
+        "03ba7ff9a445c4307ea8e256f0eb54c19e0ad0e681588bff50e9a9807056bb1a",
     "six_general/range/full":
         "ccb089bfa6118d6beba0cd3efa7c3cb31fd5decfdc5e05b6ea4e0d8ef353c1a6",
     "six_general/range/paper13":
@@ -153,17 +153,17 @@ FIXTURE_REPORT_DIGESTS = {
     "six_general/ranger/paper13":
         "8273a2eb4605a119e3ea2035f8fb9065608442eeddd05f2e09e34b449905af35",
     "six_general/kruskal/full":
-        "52a0d1c29075c9973a773e6d1387b9827d3fcf1cd256bbdd49ec8b061449f689",
+        "03be21abb1de2344bfda8516ebaba0f22e2c48e4e6fd88aa0ae74ffe0902a149",
     "six_general/kruskal/paper13":
-        "e7a37d6c6e07f451d94d0175fdd5df7315071552b5e71185d1b1d470d4960384",
+        "45813de3c33cc6e04a6130945732bd54c6376f57be840af032b4572307173447",
     "six_general/octic14/full":
         "26ee709d7223c8a0fdb5ef9ec29eb6c4b3714211f97a3ab0ff30df420c1f5555",
     "six_general/octic14/paper13":
         "7141c1701f96e6d4ed392167dbd51d24c4b0969148fc7e4f7b24aff48cd94df5",
     "six_on_conic/all/full":
-        "0757d6136aefd73427cb7abfc0dec02d77453e8598503a833da1cfea1605459a",
+        "0e1a2edb113cf6120392cb8f2293ed54b6d94557d79c06656801dff955f5a4ba",
     "six_on_conic/all/paper13":
-        "91948580b1956eca364d7d3097fc4367bf54caa802dcb2ec9e79981d01e180e8",
+        "d608c0e545e11171369b63fde3de5238450e6318d01dfdebc23da9929911a810",
     "six_on_conic/range/full":
         "89226483fc283c7fd3f2533017673447f1ee00dd8653035ca40e1a84c12fc3fa",
     "six_on_conic/range/paper13":
@@ -173,16 +173,16 @@ FIXTURE_REPORT_DIGESTS = {
     "six_on_conic/ranger/paper13":
         "2c2175406f31fcc5572d8139bd6323e677a3f49af82312e74828d36e91a9dfb9",
     "six_on_conic/kruskal/full":
-        "1babfada904db3be0c82df2fcbc6ef1ebfae29f2a05207ebc64aaf1590935309",
+        "15e0f9a903d783593324c112968c4dc52e6ec8668112156052111792923022dc",
     "six_on_conic/kruskal/paper13":
-        "a373ce3f6cdd8e9c441946682680f4e795319b3f09db5d4a7e4762453e9bbdf6",
+        "b52481d7941e77257c16ea16d2df7c027af1d61b6d19bc1aae695771bf796c8d",
     "six_on_conic/octic14/full":
         "0915e2915b75491ab7dcef82162d4ad36d44940390e46021d090ecc88e109608",
     "six_on_conic/octic14/paper13":
         "bfd121c4355f90d69a58cd5da6a541a306f6b2fb27d8f6dcb79624a100bff3c3",
 }
 
-CORPUS_DIGEST = (148, "86895bf84e4a56be52a2015d136b5f146b75475399f4524222572e9c633426b4")
+CORPUS_DIGEST = (148, "4e341a1cee7670ab432fb7b9c7ec46aa041788381d8c1fbd007f06c92788fb10")
 
 
 def test_fixture_report_digests_pinned():
