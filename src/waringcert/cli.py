@@ -5,8 +5,9 @@ instances), hilbert (h/Dh table), kruskal (one Kruskal rank), syzygy
 (debug dump of the octic pipeline's matrices).
 
 Exit codes for check: 0 a verdict was reached (either way), 1 the run
-stayed inconclusive, 2 input error.  gen adds 3 for an exhausted
-attempt budget.
+stayed inconclusive, 2 input error (a bad option, or an instance file
+that is missing, unreadable, not UTF-8 or malformed, or an --out path
+that cannot be written).  gen adds 3 for an exhausted attempt budget.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ EXIT_EXHAUSTED = 3
 def _load(path):
     try:
         return load_instance(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        sys.exit(EXIT_INPUT)
     except InstanceFormatError as e:
         print(f"error: {path}: {e}", file=sys.stderr)
         sys.exit(EXIT_INPUT)
@@ -83,6 +81,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
     try:
         if args.kind == "identifiable":
             gen = gen_identifiable(args.seed, args.prime)
@@ -219,7 +220,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except NotPrime as e:
+    except (NotPrime, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_INPUT
     sys.exit(code)

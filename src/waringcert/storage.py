@@ -101,7 +101,11 @@ def parse_instance(text: str) -> tuple[Instance, dict]:
 def load_instance(path) -> tuple[Instance, dict, str]:
     """(instance, metadata, sha256 of the file bytes)."""
     data = Path(path).read_bytes()
-    inst, metadata = parse_instance(data.decode("utf-8"))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InstanceFormatError(f"not UTF-8 text: {e.reason} at byte {e.start}") from e
+    inst, metadata = parse_instance(text)
     return inst, metadata, sha256_hex(data)
 
 

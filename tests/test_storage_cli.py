@@ -199,6 +199,13 @@ def test_check_inconclusive_exit_1():
     assert report["verdict"].startswith("Inconclusive")
 
 
+def test_check_degree_two_fixture_exit_1():
+    # the reshaped criterion is not stated below degree 3 and is skipped
+    res = run_cli("check", str(FIXTURES / "six_general.json"))
+    assert res.returncode == 1
+    assert json.loads(res.stdout)["verdict"].startswith("Inconclusive(")
+
+
 def test_check_paper13_mode_agrees():
     res = run_cli("check", str(FIXTURES / "optics_T2.json"), "--mode", "paper13",
                   "--criteria", "octic14")
@@ -321,6 +328,38 @@ def test_syzygy_refuses_other_shapes(tmp_path, degree):
     res = run_cli("syzygy", str(path))
     assert res.returncode == 2
     assert res.stderr.startswith("error:") and res.stdout == ""
+
+
+@pytest.mark.parametrize("args, message", (
+    (("gen", "identifiable", "--seed", "-1"), "--seed must be >= 0"),
+    (("check", "{dir}"), "Is a directory"),
+    (("hilbert", "{dir}"), "Is a directory"),
+    (("kruskal", "{dir}", "--d", "1"), "Is a directory"),
+    (("syzygy", "{dir}"), "Is a directory"),
+    (("check", "{latin1}"), "not UTF-8 text"),
+    (("hilbert", "{latin1}"), "not UTF-8 text"),
+    (("kruskal", "{latin1}", "--d", "1"), "not UTF-8 text"),
+    (("syzygy", "{latin1}"), "not UTF-8 text"),
+    (("check", "{t1}", "--out", "{dir}/missing/r.json"), "No such file or directory"),
+    (("gen", "identifiable", "--out", "{dir}/missing/g.json"), "No such file or directory"),
+))
+def test_cli_io_errors_exit_2_with_one_error_line(tmp_path, args, message):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"prime": 31991, "n": 2, "degree": 3, "note": "\u00e9"}'
+                       .encode("latin-1"))
+    paths = {"dir": tmp_path, "latin1": latin1, "t1": FIXTURES / "optics_T1.json"}
+    res = run_cli(*(a.format(**paths) for a in args))
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+    assert not (tmp_path / "missing").exists()
+
+
+def test_load_instance_refuses_non_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"prime": 7}\xff')
+    with pytest.raises(InstanceFormatError, match="not UTF-8"):
+        load_instance(path)
 
 
 def test_instance_obj_is_canonical(t1):
