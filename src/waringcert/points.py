@@ -134,11 +134,10 @@ class PointSet:
 
 @dataclass(frozen=True)
 class HilbertProfile:
-    """Hilbert function values h_Z(0..j_max), first differences, and ell(Z)."""
+    """Hilbert function values h_Z(0..j_max) and their first differences."""
 
     values: tuple[int, ...]
     differences: tuple[int, ...]
-    length: int
 
     def dh(self, j: int) -> int:
         if j < 0:
@@ -207,7 +206,7 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
         values = [bisect_left(piv, comb(j + n, n)) if j <= D else ell
                   for j in range(j_max + 1)]
     diffs = [values[0]] + [values[j] - values[j - 1] for j in range(1, j_max + 1)]
-    return HilbertProfile(tuple(values), tuple(diffs), len(Z))
+    return HilbertProfile(tuple(values), tuple(diffs))
 
 
 def h1_defect(Z: PointSet, d: int) -> int:
