@@ -20,6 +20,7 @@ import time
 from .criteria import INCONCLUSIVE
 from .driver import run_criteria
 from .errors import (
+    FieldTooSmall,
     GenerationExhausted,
     InstanceFormatError,
     NotPrime,
@@ -90,7 +91,7 @@ def cmd_gen(args) -> int:
         else:
             gen = gen_unidentifiable(args.seed, args.prime,
                                      rational_residual=args.rational_residual)
-    except (NotPrime, ScanBudgetExceeded) as e:
+    except (NotPrime, FieldTooSmall, ScanBudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except GenerationExhausted as e:

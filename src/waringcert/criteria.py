@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadSplit, NotConcise, RedundancyDetected
 from .ffield import PrimeContext, as_residues, matmul_mod
-from .points import PointSet, evaluation_matrix, kruskal_rank_at_least
+from .points import PointSet, evaluation_matrix, hilbert_value, kruskal_rank_at_least
 
 IDENTIFIABLE = "identifiable"
 COMPUTES_RANK = "computes_rank"
@@ -103,7 +103,7 @@ def check_nonredundant(inst: Instance) -> int:
     coefficient: a zero lambda_i makes A redundant for T even when the
     images are independent.
     """
-    r = evaluation_matrix(inst.pointset, inst.degree).rank()
+    r = hilbert_value(inst.pointset, inst.degree)
     if r != inst.length:
         raise RedundancyDetected(
             f"rank(ev(A,{inst.degree})) = {r} < {inst.length}: dependent Veronese images"
@@ -143,8 +143,7 @@ def reshaped_kruskal_certify(inst: Instance) -> Certificate:
     if d < 3:
         raise BadSplit(f"degree {d} < 3 admits no split")
     rk = check_nonredundant(inst)
-    ell = inst.length
-    n = inst.pointset.n
+    ell, n = inst.length, inst.pointset.n
     evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
     best = None
     for s in admissible_splits(d):
@@ -193,16 +192,20 @@ def _plane_certify(inst: Instance, verdict: str, r_cap: int, h_degree: int,
     """The plane test behind range and ranger: verdict when
     h_A(h_degree) = r <= r_cap and, unless k_degree is None,
     k_{k_degree}(A) >= min(C(k_degree+2, 2), r).  Where a Kruskal rank
-    would follow, r > r_cap ends the test before it is computed."""
+    would follow, r > r_cap ends the test before it is computed.  The
+    Kruskal level, h_A(h_degree) and nonredundancy in degree d are asked
+    in that order, so one at r answers the next from the memo on A."""
     if inst.pointset.n != 2:
         raise ValueError("this criterion is stated for plane point sets")
-    rk = check_nonredundant(inst)
-    r = inst.length
-    d = inst.degree
-    evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
+    A, r, d = inst.pointset, inst.length, inst.degree
     ok = r <= r_cap
+    if k_degree is not None and ok:
+        k_need = min(comb(k_degree + 2, 2), r)
+        ok = kruskal_rank_at_least(A, k_degree, k_need)
+    h = hilbert_value(A, h_degree)
+    evidence = [("rank_ev_d", check_nonredundant(inst)), ("lambda_nonzero", True)]
     if k_degree is not None:
-        if not ok:
+        if r > r_cap:
             evidence += [("rank_cap", r_cap),
                          ("skipped", f"kruskal_{k_degree}: r = {r} > rank_cap = {r_cap}")]
             return Certificate(
@@ -210,10 +213,7 @@ def _plane_certify(inst: Instance, verdict: str, r_cap: int, h_degree: int,
                 reason=f"r = {r} exceeds the rank cap {r_cap} at degree {d}",
                 evidence=tuple(evidence),
             )
-        k_need = min(comb(k_degree + 2, 2), r)
-        ok = kruskal_rank_at_least(inst.pointset, k_degree, k_need)
         evidence.append((f"kruskal_{k_degree}", _floor_evidence(ok, k_need)))
-    h = evaluation_matrix(inst.pointset, h_degree).rank()
     evidence += [(f"hilbert_{h_degree}", h), ("rank_cap", r_cap)]
     if ok and h == r:
         return Certificate(verdict, rank=r, evidence=tuple(evidence))
@@ -265,15 +265,14 @@ def mo_certify(inst: Instance) -> Certificate:
         raise ValueError("ambient dimension must be at least 2")
     if inst.degree < 3:
         raise ValueError("degree must be at least 3")
+    A, r, d, m = inst.pointset, inst.length, inst.degree, inst.degree // 2
+    # lowest degrees first: h_A(1) or h_A(m-1) at r decides nonredundancy
+    h1 = hilbert_value(A, 1)
+    h = hilbert_value(A, m - 1)
     rk = check_nonredundant(inst)
-    r = inst.length
-    d = inst.degree
-    m = d // 2
-    h1 = evaluation_matrix(inst.pointset, 1).rank()
     if h1 != min(n + 1, r):
         raise NotConcise(f"h_A(1) = {h1} < min(n+1, r) = {min(n + 1, r)}")
     bound = min(Fraction(n - 1, 2), Fraction(m - 1, 2))
-    h = evaluation_matrix(inst.pointset, m - 1).rank()
     evidence = [("rank_ev_d", rk), ("lambda_nonzero", True),
                 ("hilbert_1", h1), (f"hilbert_{m - 1}", h),
                 ("defect_bound", str(bound))]
@@ -283,7 +282,7 @@ def mo_certify(inst: Instance) -> Certificate:
         evidence.append(("bound_boundary_case", True))
     ok = Fraction(deficit) <= bound
     if ok and d % 2 == 1:
-        ok = kruskal_rank_at_least(inst.pointset, m, r)
+        ok = kruskal_rank_at_least(A, m, r)
         evidence.append((f"kruskal_{m}", _floor_evidence(ok, r)))
     if ok:
         return Certificate(IDENTIFIABLE, rank=r, evidence=tuple(evidence))

@@ -87,6 +87,10 @@ class GenerationExhausted(WaringError):
     """An instance generator ran out of its attempt budget."""
 
 
+class FieldTooSmall(WaringError):
+    """The projective plane over the field has fewer than 14 points."""
+
+
 class ScanBudgetExceeded(WaringError):
     """The projective-plane scan was refused because the field is too large."""
 

@@ -41,6 +41,7 @@ import numpy as np
 from .criteria import Instance
 from .errors import (
     DuplicatePoint,
+    FieldTooSmall,
     GenerationExhausted,
     ScanBudgetExceeded,
     WaringError,
@@ -64,6 +65,7 @@ from .octic14 import (
 from .points import (
     PointSet,
     evaluation_matrix,
+    hilbert_value,
     kruskal_rank_at_least,
 )
 from .polys import GradedPoly, _veronese_rows
@@ -90,6 +92,14 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(tag)]))
 
 
+def _plane_context(prime: int) -> PrimeContext:
+    """The field of a generator, whose plane needs 14 distinct points."""
+    ctx = PrimeContext(prime)
+    if prime * prime + prime + 1 < 14:
+        raise FieldTooSmall(f"the plane over Z_{prime} has fewer than 14 points")
+    return ctx
+
+
 def random_admissible_pointset(seed: int,
                                prime: int = DEFAULT_PRIME) -> tuple[PointSet, int]:
     """Rejection-sample 14 plane points until all admissibility gates hold.
@@ -103,7 +113,7 @@ def random_admissible_pointset(seed: int,
     Deterministic per (seed, prime); returns the point set and the
     attempt count.
     """
-    ctx = PrimeContext(prime)
+    ctx = _plane_context(prime)
     rng = _rng(seed, 0)
     for attempt in range(1, DEFAULT_BUDGET + 1):
         ps = _sample_pointset(ctx, rng)
@@ -123,7 +133,7 @@ def _sample_pointset(ctx: PrimeContext, rng) -> PointSet | None:
         ps = PointSet(ctx, coords)
     except (ZeroPoint, DuplicatePoint):
         return None
-    if evaluation_matrix(ps, 4).rank() != 14:
+    if hilbert_value(ps, 4) != 14:
         return None
     return ps
 
@@ -194,7 +204,7 @@ def gen_unidentifiable(seed: int, prime: int = DEFAULT_PRIME,
     """
     if rational_residual:
         return _gen_unidentifiable_rational(seed, prime)
-    ctx = PrimeContext(prime)
+    ctx = _plane_context(prime)
     # same point stream as random_admissible_pointset, but kept open so a
     # degenerate residual family can fall through to a fresh point set
     rng_pts = _rng(seed, 0)
@@ -323,7 +333,7 @@ def _gen_unidentifiable_rational(seed: int, prime: int) -> GeneratedInstance:
             f"rational-residual construction scans the plane; p = {prime} "
             f"exceeds {SCAN_LIMIT}"
         )
-    ctx = PrimeContext(prime)
+    ctx = _plane_context(prime)
     p = ctx.p
     rng = _rng(seed, 3)
     attempts = 0

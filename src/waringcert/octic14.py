@@ -68,6 +68,7 @@ from .ffield import (
 from .points import (
     PointSet,
     evaluation_matrix,
+    hilbert_value,
     kruskal_level,
     kruskal_rank_at_least,
     kruskal_rank_detail,
@@ -154,10 +155,8 @@ def check_preconditions(inst: Instance) -> tuple:
             f"got n={inst.pointset.n}, d={inst.degree}, ell={inst.length}"
         )
     A = inst.pointset
-    h4 = evaluation_matrix(A, 4).rank()
-    # h_A never decreases and never exceeds the 14 points, so h_A(4) = 14
-    # already fixes rank(ev(A,8)) = 14
-    r8 = 14 if h4 == 14 else evaluation_matrix(A, 8).rank()
+    h4 = hilbert_value(A, 4)
+    r8 = hilbert_value(A, 8)  # 14 without eliminating once h_A(4) = 14
     if r8 != 14:
         raise PreconditionFailed(1, r8, f"rank(ev(A,8)) = {r8} != 14")
     zeros = np.nonzero(inst.lam == 0)[0]
@@ -383,7 +382,7 @@ def second_decomposition_system(inst: Instance, fam: ResidualFamily,
         selected = None
     else:
         ev8 = evaluation_matrix(inst.pointset, 8)
-        ideal_dim = ev8.cols - ev8.rank()  # dim I_A(8)
+        ideal_dim = ev8.cols - hilbert_value(inst.pointset, 8)  # dim I_A(8)
         selected = None
         for attempt in range(SELECTION_RETRIES):
             rng = np.random.default_rng(_instance_seed(inst, 0x13 + attempt))
@@ -440,7 +439,7 @@ def verify_witness(inst: Instance, fam: ResidualFamily, astar) -> dict:
                               f"degree-8 piece has dimension {record['residual_dim_8']} != 31")
     # dim(I_A(8) + span gens8) = dim ker ev(A, 8) + rank of ev(A, 8) on gens8
     ev8 = evaluation_matrix(inst.pointset, 8)
-    record["ideal_sum_dim_8"] = (ev8.cols - ev8.rank()
+    record["ideal_sum_dim_8"] = (ev8.cols - hilbert_value(inst.pointset, 8)
                                  + rank_mod(matmul_mod(ev8.a, gens8.T, p), p))
     if record["ideal_sum_dim_8"] != 44:
         raise WitnessRejected("ideal_sum_dim_8",

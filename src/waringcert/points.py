@@ -5,12 +5,13 @@ evaluation matrix ev(Z, j) of the degree-j monomial vectors of the
 points; its kernel is the degree-j piece of the ideal of Z.  The first
 C(j+n, n) columns of ev(Z, D) are ev(Z, j) up to row scaling by
 x0^(D-j) (monomials lex-descending), so one elimination gives h_Z(0..D);
-hilbert_profile shears where x0 meets Z.  Also here: first differences,
-the h^1 defect ell(Z) - h_Z(d), Kruskal ranks (memoised per degree
-and subset size; at the column count by one sweep over maximal minors
-on the Laplace tables of polys, below it by subset enumeration), the
-Cayley-Bacharach predicate, and intersection dimensions of Veronese
-spans.
+hilbert_profile shears where x0 meets Z.  hilbert_value reads h_Z(j)
+from an int memo on Z that hilbert_profile, cb_check and passing Kruskal
+levels of size ell feed.  Also here: first differences, the h^1 defect
+ell(Z) - h_Z(d), Kruskal ranks (memoised per degree and subset size; at
+the column count by one sweep over maximal minors on the Laplace tables
+of polys, below it by subset enumeration), the Cayley-Bacharach
+predicate, and intersection dimensions of Veronese spans.
 
 Two coordinate tuples are the same projective point iff their
 canonical representatives (first nonzero coordinate scaled to 1) agree;
@@ -67,12 +68,12 @@ class PointSet:
 
     Coordinate representatives are fixed at construction (reduced mod p)
     and the order is meaningful for reporting.  Floats, complex numbers
-    and bools are refused with TypeError.  Evaluation matrices, Kruskal
-    levels and the octic14 point stages are memoised on the object, since
-    the value is immutable.
+    and bools are refused with TypeError.  Evaluation matrices, Hilbert
+    values, Kruskal levels and the octic14 point stages are memoised on
+    the object, since the value is immutable.
     """
 
-    __slots__ = ("ctx", "n", "points", "_ev_cache", "_kruskal_levels", "_octic14")
+    __slots__ = ("ctx", "n", "points", "_ev_cache", "_hilbert", "_kruskal_levels", "_octic14")
 
     def __init__(self, ctx: PrimeContext, points):
         def residue(c):  # operator.index refuses floats and numpy bools
@@ -97,6 +98,7 @@ class PointSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "_ev_cache", {})
+        object.__setattr__(self, "_hilbert", {})
         object.__setattr__(self, "_kruskal_levels", {})
         object.__setattr__(self, "_octic14", {})
 
@@ -175,6 +177,20 @@ def _chart(Z: PointSet) -> tuple[int, np.ndarray] | None:
     return None
 
 
+def _reached_ell(Z: PointSet, j: int) -> bool:
+    """Whether the memo has h_Z(i) = ell at some i <= j, so h_Z(j) = ell, as h_Z
+    never drops or passes ell; read off a copy, as other threads may add."""
+    return len(Z) in [h for i, h in Z._hilbert.copy().items() if i <= j]
+
+
+def hilbert_value(Z: PointSet, j: int) -> int:
+    """h_Z(j): from the memo on Z, else ell from a lower degree at ell,
+    else the rank of the memoised ev(Z, j); the memo keeps the answer."""
+    if j not in Z._hilbert:
+        Z._hilbert[j] = len(Z) if _reached_ell(Z, j) else evaluation_matrix(Z, j).rank()
+    return Z._hilbert[j]
+
+
 def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
     """h_Z and its first difference on 0..j_max, with h_Z(-1) = 0.
 
@@ -182,10 +198,12 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
     _chart(Z), below column C(j+n, n) for j <= D: the RREF of a column
     prefix is the prefix of the RREF, and neither row scaling nor the
     shear changes a rank.  A chart exists whenever n*ell < p; without
-    one each degree is ranked on its own.  D starts at min(j_max, least
-    d with C(d+n, n) >= ell) and doubles up to j_max until h_Z(D) = ell,
-    which then holds in every higher degree, over any field.  Only the
-    first ev(Z, D) is memoised on Z, and only when unsheared.
+    one each degree is read by hilbert_value.  D starts at the least d
+    with C(d+n, n) >= ell, or past every degree the memo has below ell, or
+    at j_max if lower, and doubles up to j_max until h_Z(D) = ell, which
+    then holds in every higher degree, over any field.  Only the first
+    ev(Z, D) is memoised on Z, and only when unsheared; the Hilbert memo
+    keeps h_Z up to its first degree at ell.
     """
     if not 0 <= j_max <= MAX_EVALUATION_ENTRIES:
         raise ValueError(f"j_max must be in 0..{MAX_EVALUATION_ENTRIES}")
@@ -193,11 +211,11 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
     if chart is None:
         values = []
         for j in range(j_max + 1):
-            values.append(ell if values and values[-1] == ell
-                          else evaluation_matrix(Z, j).rank())
+            values.append(ell if values and values[-1] == ell else hilbert_value(Z, j))
     else:
         t, a = chart
-        D = min(j_max, next(d for d in count() if comb(d + n, n) >= ell))
+        below = [j + 1 for j, h in Z._hilbert.copy().items() if h < ell]
+        D = min(j_max, max([next(d for d in count() if comb(d + n, n) >= ell), *below]))
         ev = (evaluation_matrix(Z, D) if t == 0
               else DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, a, D)))
         while len(piv := ev._reduced()[1]) < ell and D < j_max:
@@ -205,6 +223,7 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
             ev = DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, a, D))
         values = [bisect_left(piv, comb(j + n, n)) if j <= D else ell
                   for j in range(j_max + 1)]
+    Z._hilbert.update(enumerate(values[:bisect_left(values, ell) + 1]))
     diffs = [values[0]] + [values[j] - values[j - 1] for j in range(1, j_max + 1)]
     return HilbertProfile(tuple(values), tuple(diffs))
 
@@ -212,7 +231,7 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
 def h1_defect(Z: PointSet, d: int) -> int:
     """ell(Z) - h_Z(d); positive iff the points impose dependent
     conditions on degree-d forms."""
-    return len(Z) - evaluation_matrix(Z, d).rank()
+    return len(Z) - hilbert_value(Z, d)
 
 
 # Subsets are tested in chunks whose index array and stacked matrices
@@ -299,7 +318,8 @@ def kruskal_level(Z: PointSet, d: int, k: int) -> tuple[int, tuple[int, ...] | N
     degree-d Veronese images of Z, for 1 <= k <= min(C(n+d, n), ell).
 
     The record is memoised on Z per (d, k), so every Kruskal query that
-    reads it again eliminates nothing.
+    reads it again eliminates nothing.  A passing level of size ell
+    records h_Z(d) = ell, but no level reads the Hilbert memo.
     """
     record = Z._kruskal_levels.get((d, k))
     if record is None:
@@ -308,6 +328,8 @@ def kruskal_level(Z: PointSet, d: int, k: int) -> tuple[int, tuple[int, ...] | N
             raise ValueError(f"subset size {k} is outside 1..{cap}")
         record = _first_dependent_subset(evaluation_matrix(Z, d).a, Z.ctx.p, k)
         Z._kruskal_levels[(d, k)] = record
+        if k == len(Z) and record[1] is None:
+            Z._hilbert[d] = k
     return record
 
 
@@ -355,12 +377,15 @@ def cb_check(Z: PointSet, d: int) -> bool:
 
     Equivalently h_{Z minus P}(d) == h_Z(d) for every P, which holds iff
     some linear dependency among the rows of ev(Z, d) involves P: so iff
-    no column of a basis of the left kernel is zero.
+    no column of a basis of the left kernel is zero.  Independent rows
+    (h_Z(d) = ell, perhaps known to the memo) have no dependency and fail.
     """
     if len(Z) < 2:
         raise ValueError("Cayley-Bacharach needs at least two points")
+    if _reached_ell(Z, d):
+        return False
     deps = kernel_mod(evaluation_matrix(Z, d).a.T, Z.ctx.p)
-    # independent rows (h = ell) have no dependency and fail
+    Z._hilbert[d] = len(Z) - len(deps)
     return bool(deps) and bool(np.all(np.any(np.array(deps) != 0, axis=0)))
 
 
@@ -371,13 +396,5 @@ def span_intersection_dim(A: PointSet, B: PointSet, d: int) -> int:
     Grassmann on the spans: dim(span A) + dim(span B) - dim(span A + span B),
     where the dimension of the joint span is h_{A union B}(d) - 1.
     """
-    hA = evaluation_matrix(A, d).rank()
-    hB = evaluation_matrix(B, d).rank()
-    hU = evaluation_matrix(A.union(B), d).rank()
-    return (hA - 1) + (hB - 1) - (hU - 1)
+    return hilbert_value(A, d) + hilbert_value(B, d) - hilbert_value(A.union(B), d) - 1
 
-
-def cap_formula_dim(A: PointSet, B: PointSet, d: int) -> int:
-    """The closed-form side of the same dimension:
-    ell(A intersect B) - 1 + h^1_{A union B}(d)."""
-    return A.intersection_size(B) - 1 + h1_defect(A.union(B), d)

@@ -25,6 +25,11 @@ from .points import MAX_EVALUATION_ENTRIES, PointSet
 
 INSTANCE_FIELDS = ("prime", "n", "degree", "points", "lambda")
 
+# Longest file load_instance reads: a valid instance has at most 1.5x
+# MAX_EVALUATION_ENTRIES integers, under 20 bytes each in canonical JSON
+# plus about 14 per point for brackets, which leaves megabytes for metadata.
+MAX_INSTANCE_BYTES = 64 * MAX_EVALUATION_ENTRIES
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -60,6 +65,8 @@ def parse_instance(text: str) -> tuple[Instance, dict]:
         raise InstanceFormatError(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except (RecursionError, ValueError) as e:  # too deep, or too many digits
+        raise InstanceFormatError(f"JSON refused: {e}") from e
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in INSTANCE_FIELDS:
         _expect(key in obj, f"missing field {key!r}")
@@ -100,7 +107,10 @@ def parse_instance(text: str) -> tuple[Instance, dict]:
 
 def load_instance(path) -> tuple[Instance, dict, str]:
     """(instance, metadata, sha256 of the file bytes)."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read(MAX_INSTANCE_BYTES + 1)
+    _expect(len(data) <= MAX_INSTANCE_BYTES,
+            f"input is longer than {MAX_INSTANCE_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:

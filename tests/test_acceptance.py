@@ -15,7 +15,6 @@ from waringcert import (
     Instance,
     PointSet,
     PrimeContext,
-    cap_formula_dim,
     cb_check,
     certify_octic14,
     evaluation_matrix,
@@ -35,6 +34,7 @@ from waringcert.ffield import matmul_mod, rank_mod
 from waringcert.polys import det_poly, mult_map
 
 from conftest import fixture_instance, random_instance, random_pointset, six_point_sets
+from test_points import cap_formula_dim
 
 CI_DIFFERENCES = (1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 0)
 BATCH = 50

@@ -21,7 +21,7 @@ from waringcert import (
     residual_family,
     span_intersection_dim,
 )
-from waringcert.errors import ScanBudgetExceeded
+from waringcert.errors import FieldTooSmall, ScanBudgetExceeded
 from waringcert import ffield as ffield_module
 from waringcert import generate as generate_module
 from waringcert import points as points_module
@@ -173,6 +173,19 @@ def test_recover_scan_guard(t1):
     quintics = [pm.specialize(np.arange(1, 13)) for pm in fam.param_minors]
     with pytest.raises(ScanBudgetExceeded):
         recover_residual_points(fam.base.Q, quintics, t1.pointset)
+
+
+@pytest.mark.parametrize("kind", ("identifiable", "unidentifiable", "rational"))
+def test_generators_refuse_a_plane_of_13_points_before_any_draw(monkeypatch, kind):
+    def no_draw(*_):
+        raise AssertionError("drew a point set")
+
+    monkeypatch.setattr(generate_module, "_sample_pointset", no_draw)
+    gen = {"identifiable": lambda: gen_identifiable(0, 3),
+           "unidentifiable": lambda: gen_unidentifiable(0, 3),
+           "rational": lambda: gen_unidentifiable(0, 3, rational_residual=True)}[kind]
+    with pytest.raises(FieldTooSmall, match="fewer than 14"):
+        gen()
 
 
 def test_parameter_recovery_unique_ray(rational_gen):

@@ -1,13 +1,17 @@
+import sys
+import threading
 from itertools import combinations, product
 from math import comb, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waringcert import (
+    Instance,
     PointSet,
     PrimeContext,
-    cap_formula_dim,
     cb_check,
     evaluation_matrix,
     h1_defect,
@@ -15,14 +19,19 @@ from waringcert import (
     ideal_piece,
     kruskal_rank,
     kruskal_rank_detail,
+    mo_certify,
+    range_certify,
     span_intersection_dim,
 )
 from waringcert import ffield as ffield_module
+from waringcert import generate as generate_module
 from waringcert import monomial_basis, run_criteria
+from waringcert import octic14 as octic14_module
 from waringcert.errors import DuplicatePoint, ZeroPoint
 from waringcert import points as points_module
 from waringcert.ffield import rank_mod
-from waringcert.points import (MAX_EVALUATION_ENTRIES, kruskal_level, kruskal_rank_at_least,
+from waringcert.points import (MAX_EVALUATION_ENTRIES, hilbert_value, kruskal_level,
+                               kruskal_rank_at_least,
                                projectively_equal)
 
 from conftest import fixture_instance, random_pointset, six_point_sets
@@ -251,7 +260,8 @@ def test_profile_matches_oracle_in_every_chart(p):
 
 
 def count_eliminations(monkeypatch):
-    """Shapes of every row_echelon call from here on."""
+    """Shapes of every row_echelon call from here on, through every
+    module that binds it."""
     shapes = []
     real = ffield_module.row_echelon
 
@@ -259,8 +269,8 @@ def count_eliminations(monkeypatch):
         shapes.append(np.shape(a))
         return real(a, p)
 
-    monkeypatch.setattr(ffield_module, "row_echelon", counting)
-    monkeypatch.setattr(points_module, "row_echelon", counting)
+    for module in (ffield_module, points_module, octic14_module, generate_module):
+        monkeypatch.setattr(module, "row_echelon", counting)
     return shapes
 
 
@@ -318,6 +328,156 @@ def test_large_profile_stops_at_the_first_degree_reaching_ell(ctx, monkeypatch):
     prof = hilbert_profile(z, 300)
     assert prof.values == tuple(min(comb(j + 2, 2), 300) for j in range(301))
     assert shapes and max(c for _, c in shapes) <= 2 * comb(d0 + 2, 2)
+
+
+# ------------------------------------------------------------ hilbert memo
+
+def memo_test_set(ctx, n, rng):
+    """Random points, with a repeated line or conic (n >= 2) or, over
+    Z_3..Z_7, a point on every hyperplane L_t = 0, so no chart exists."""
+    p = ctx.p
+    extra = rng.integers(0, p, size=(int(rng.integers(1, 8)), n + 1)).tolist()
+    shape = int(rng.integers(4))
+    ts = range(int(rng.integers(2, 9)))
+    if shape == 1:
+        rows = [[1, t] + [0] * (n - 1) for t in ts] + extra
+    elif shape == 2 and n >= 2:
+        rows = [[1, t, t * t] + [0] * (n - 2) for t in ts] + extra
+    elif shape == 3 and p <= 7:
+        rows = blocking_coords(p, n, rng, len(extra))
+    else:
+        rows = extra
+    keys = {}
+    for r in rows:
+        if any(c % p for c in r):
+            keys.setdefault(points_module._canonical_point(tuple(c % p for c in r), p), r)
+    return PointSet(ctx, list(keys.values()))
+
+
+@given(st.sampled_from((3, 5, 7, 101, 31991)), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=80)
+def test_hilbert_value_matches_a_fresh_rank_in_any_order(p, n, seed):
+    # every feeder of the memo runs in a random order of degrees, and
+    # each answer must equal the rank of ev(Z, j) on a fresh point set
+    ctx = PrimeContext(p)
+    rng = np.random.default_rng(seed)
+    z = memo_test_set(ctx, n, rng)
+    ell = len(z)
+    fresh = [evaluation_matrix(PointSet(ctx, z.points), j).rank() for j in range(ell + 1)]
+    for j in rng.permutation(ell + 1):
+        j = int(j)
+        feeder = int(rng.integers(4))
+        if feeder == 1 and ell >= 2:
+            cb_check(z, j)
+        elif feeder == 2 and ell <= comb(j + n, n):
+            kruskal_level(z, j, ell)
+        elif feeder == 3:
+            assert hilbert_profile(z, j).values == tuple(fresh[:j + 1])
+        assert hilbert_value(z, j) == fresh[j]
+    assert [hilbert_value(z, j) for j in range(ell + 1)] == fresh
+
+
+@pytest.mark.parametrize("name, count", (("optics_T1", 7), ("optics_T2", 10)))
+def test_cold_octic_check_eliminations(monkeypatch, name, count):
+    # h_A(4) = 14 answers rank(ev(A, 8)) = 14, so no 14 x 45 elimination
+    inst = fixture_instance(name)
+    shapes = count_eliminations(monkeypatch)
+    run_criteria(inst)
+    assert len(shapes) == count and (14, 45) not in shapes
+
+
+def test_lowest_degree_first_in_range_and_mo(ctx, monkeypatch):
+    rng = np.random.default_rng(8)
+    plane = Instance(random_pointset(ctx, rng, 9), 8, [1] * 9)
+    shapes = count_eliminations(monkeypatch)
+    # the one 9-subset of cubic images passes, so h_A(4) = h_A(8) = 9
+    assert range_certify(plane).display() == "IdentifiableOfRank(9)"
+    assert shapes == [(9, 10)]
+    space = Instance(random_pointset(ctx, rng, 20, n=3), 9, [1] * 20)
+    shapes.clear()
+    # h_A(3) = 20 answers nonredundancy in degree 9
+    assert mo_certify(space).display() == "IdentifiableOfRank(20)"
+    assert len(shapes) == 3 and all(c < 220 for _, c in shapes)
+
+
+def test_cb_check_reads_a_full_hilbert_value(monkeypatch):
+    z = fixture_instance("optics_T1").pointset
+    assert hilbert_value(z, 4) == 14
+    monkeypatch.setattr(points_module, "kernel_mod", no_elimination)
+    monkeypatch.setattr(points_module, "evaluation_matrix", no_elimination)
+    assert not cb_check(z, 8)
+    assert hilbert_value(z, 6) == 14
+
+
+def test_profile_starts_past_the_degrees_the_memo_has_below_ell(monkeypatch):
+    # six points on a conic: cb_check leaves h(2) = 5 < 6 in the memo, so
+    # the profile starts at D = 3 instead of trying ev(Z, 2) first
+    z = six_point_sets()["on_conic"]
+    assert cb_check(z, 2)
+    shapes = count_eliminations(monkeypatch)
+    assert hilbert_profile(z, 4).values == (1, 3, 5, 6, 6)
+    assert shapes == [(6, 10)]
+
+
+@pytest.mark.parametrize("case", ("general", "collinear", "chartless"))
+def test_profile_memo_stops_at_the_first_degree_at_ell(case):
+    ctx = PrimeContext(3 if case == "chartless" else 31991)
+    z = {"general": lambda: fixture_instance("optics_T1").pointset,
+         "collinear": lambda: line_points(ctx, range(30)),
+         "chartless": lambda: PointSet(ctx, blocking_coords(3, 2, np.random.default_rng(4), 3)),
+         }[case]()
+    assert (points_module._chart(z) is None) == (case == "chartless")
+    values = hilbert_profile(z, MAX_EVALUATION_ENTRIES).values
+    first = values.index(len(z))
+    assert len(z._hilbert) <= first + 1
+    assert all(z._hilbert[j] == values[j] for j in z._hilbert)
+
+
+def test_hilbert_memo_is_shared_safely_across_threads(ctx):
+    # three threads fill one memo while a fourth reads it over and over,
+    # with a short switch interval: none may trip over another's insert,
+    # and every answer is the fresh one (h_Z(30) = 40, so CB(30) fails)
+    rng = np.random.default_rng(12)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            z = random_pointset(ctx, rng, 40)
+            fresh = PointSet(ctx, z.points)
+            expect = {j: evaluation_matrix(fresh, j).rank() for j in range(12)}
+            seen, errors = [], []
+
+            def run(calls):
+                try:
+                    seen.extend((f, j, f(z, j)) for f, j in calls)
+                except Exception as e:  # reported below, with the others
+                    errors.append(e)
+
+            threads = [threading.Thread(target=run, args=(
+                [(hilbert_value, j) for j in range(k, 12, 3)],)) for k in range(3)]
+            threads.append(threading.Thread(target=run, args=([(cb_check, 30)] * 300,)))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads) and errors == []
+            assert all(h == (expect[j] if f is hilbert_value else False) for f, j, h in seen)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_kruskal_records_do_not_depend_on_the_hilbert_memo(ctx):
+    rng = np.random.default_rng(41)
+    for p, count, n in ((7, 9, 2), (101, 12, 2), (31991, 8, 3)):
+        z = random_pointset(PrimeContext(p), rng, count, n=n)
+        for j in range(count):
+            hilbert_value(z, j)
+        hilbert_profile(z, count)
+        for d in (1, 2, 3):
+            mat = evaluation_matrix(z, d).a
+            for k in range(1, min(mat.shape) + 1):
+                assert kruskal_level(z, d, k) == first_dependent_by_ranks(mat, p, k)
 
 
 # ---------------------------------------------------------------- kruskal rank
@@ -710,6 +870,12 @@ def test_span_intersection_trivial_cases(ctx):
     b = random_pointset(ctx, rng, 4, n=2)
     if evaluation_matrix(a.union(b), 3).rank() == len(a) + len(b):
         assert span_intersection_dim(a, b, 3) == -1
+
+
+def cap_formula_dim(A, B, d):
+    """The closed-form side of span_intersection_dim:
+    ell(A intersect B) - 1 + h^1_{A union B}(d)."""
+    return A.intersection_size(B) - 1 + h1_defect(A.union(B), d)
 
 
 def test_cap_formula_agreement(ctx):

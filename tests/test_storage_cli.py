@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from waringcert import storage
 from waringcert.errors import InstanceFormatError
 from waringcert.storage import (
     canonical_json,
@@ -342,12 +344,20 @@ def test_syzygy_refuses_other_shapes(tmp_path, degree):
     (("syzygy", "{latin1}"), "not UTF-8 text"),
     (("check", "{t1}", "--out", "{dir}/missing/r.json"), "No such file or directory"),
     (("gen", "identifiable", "--out", "{dir}/missing/g.json"), "No such file or directory"),
+    (("check", "{nested}"), "recursion"),
+    (("check", "{long_lambda}"), "digits"),
+    (("gen", "identifiable", "--prime", "3"), "fewer than 14"),
 ))
 def test_cli_io_errors_exit_2_with_one_error_line(tmp_path, args, message):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"prime": 31991, "n": 2, "degree": 3, "note": "\u00e9"}'
                        .encode("latin-1"))
-    paths = {"dir": tmp_path, "latin1": latin1, "t1": FIXTURES / "optics_T1.json"}
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 1000 + "]" * 1000)
+    long_lambda = tmp_path / "long_lambda.json"
+    long_lambda.write_text(t1_with_long_lambda())
+    paths = {"dir": tmp_path, "latin1": latin1, "t1": FIXTURES / "optics_T1.json",
+             "nested": nested, "long_lambda": long_lambda}
     res = run_cli(*(a.format(**paths) for a in args))
     assert res.returncode == 2 and res.stdout == ""
     lines = res.stderr.splitlines()
@@ -360,6 +370,47 @@ def test_load_instance_refuses_non_utf8(tmp_path):
     path.write_bytes(b'{"prime": 7}\xff')
     with pytest.raises(InstanceFormatError, match="not UTF-8"):
         load_instance(path)
+
+
+def t1_with_long_lambda(digits=5001) -> str:
+    """T1's text with its first coefficient replaced by a literal of the
+    given number of digits."""
+    text = (FIXTURES / "optics_T1.json").read_text()
+    lam0 = str(json.loads(text)["lambda"][0])
+    head, tail = text.split('"lambda": [', 1)
+    first, rest = tail.split(lam0, 1)
+    return head + '"lambda": [' + first + "7" * digits + rest
+
+
+@pytest.mark.parametrize("text, message", (
+    ("[" * 1000 + "]" * 1000, "recursion"),
+    ('{"a": ' * 100000 + "1" + "}" * 100000, "recursion"),
+    (t1_with_long_lambda(), "4300 digits"),
+))
+def test_parse_refuses_deep_nesting_and_long_integers(text, message):
+    with pytest.raises(InstanceFormatError, match=message):
+        parse_instance(text)
+
+
+def test_parse_accepts_a_long_integer_within_the_digit_limit():
+    inst, _ = parse_instance(t1_with_long_lambda(4000))
+    assert inst.lam[0] == int("7" * 4000) % inst.ctx.p
+
+
+def test_load_instance_refuses_input_past_the_byte_bound(monkeypatch):
+    path = FIXTURES / "optics_T1.json"
+    size = len(path.read_bytes())
+    monkeypatch.setattr(storage, "MAX_INSTANCE_BYTES", size)
+    assert load_instance(path)[2] == T1_SHA256
+    monkeypatch.setattr(storage, "MAX_INSTANCE_BYTES", size - 1)
+    with pytest.raises(InstanceFormatError, match=f"longer than {size - 1} bytes"):
+        load_instance(path)
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+def test_load_instance_stops_reading_an_endless_input():
+    with pytest.raises(InstanceFormatError, match="longer than"):
+        load_instance("/dev/zero")
 
 
 def test_instance_obj_is_canonical(t1):
