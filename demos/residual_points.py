@@ -20,10 +20,9 @@ from waringcert import (
     cb_check,
     gen_unidentifiable,
     h1_defect,
-    hilbert_burch,
     hilbert_profile,
+    point_stages,
     recover_residual_points,
-    residual_family,
     span_intersection_dim,
 )
 
@@ -34,7 +33,9 @@ def main():
     a_points = inst.pointset
     print(f"first decomposition A: {len(a_points)} points over Z_101")
 
-    fam = residual_family(hilbert_burch(a_points))
+    # the generator already built A's residual family; point_stages reads
+    # it from the point set instead of building it again
+    fam = point_stages(a_points)[2]
     astar = np.array(g.witness_data["a"], dtype=np.int64)
     quintics = [pm.specialize(astar) for pm in fam.param_minors]
     found = recover_residual_points(fam.base.Q, quintics, a_points)

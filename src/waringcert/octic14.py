@@ -32,6 +32,7 @@ Only the nonzero test of check_preconditions, the decision system and
 the witness check read the coefficients lambda.  The stages from the
 quartic to the residual family read the points alone and are memoised on
 the PointSet object, so a further form over it pays only for its own.
+The quintics and septics past Q * S are picked in free coordinates.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .points import (
     PointSet,
     evaluation_matrix,
     hilbert_value,
+    ideal_piece,
     kruskal_level,
     kruskal_rank_at_least,
     kruskal_rank_detail,
@@ -76,7 +78,6 @@ from .points import (
 from .polys import (
     GradedPoly,
     ParamPoly,
-    det_poly,
     maximal_minors,
     monomial_basis,
     mult_map,
@@ -106,11 +107,19 @@ class HilbertBurch:
     M: tuple[tuple[GradedPoly, ...], ...]
 
     @cached_property
+    def cofactors(self) -> tuple[list[GradedPoly], list[GradedPoly]]:
+        """The cubic minors of M[1:] less its second and less its fourth row;
+        entry j omits column j, as maximal_minors keys in combinations() order."""
+        return tuple(list(maximal_minors([list(row) for i, row in enumerate(self.M[1:])
+                                          if i != k]).values())[::-1] for k in (1, 3))
+
+    @cached_property
     def quartic_scale(self) -> int:
-        """The nonzero scalar mu with det(lower block) = mu * Q; raises
-        MinorDegenerate when the 4x4 linear minor is not such a multiple."""
+        """The nonzero scalar mu with det(lower block) = mu * Q, expanded along
+        its second row; raises MinorDegenerate when it is no such multiple."""
+        t = [(L * c).coeffs for L, c in zip(self.M[2], self.cofactors[0])]
         return _proportionality(
-            det_poly([list(row) for row in self.M[1:]]), self.Q,
+            GradedPoly(self.Q.ctx, self.Q.basis, t[1] + t[3] - t[0] - t[2]), self.Q,
             "the 4x4 linear minor of M is not a nonzero multiple of the quartic")
 
 
@@ -207,12 +216,12 @@ def _proportionality(f: GradedPoly, g: GradedPoly, error: str) -> int:
 
 def ideal_past_quartic(A: PointSet, Q: GradedPoly, d: int) -> list[np.ndarray]:
     """The canonical kernel vectors of ev(A, d) independent of Q * S_{d-4}
-    and of those before them: the pivots past Q * S_{d-4} in one echelon
-    form of [mult_map(Q, d) | kernel]."""
-    ker = evaluation_matrix(A, d).kernel_basis()
-    qs = mult_map(Q, d)
-    _, pivots = row_echelon(np.column_stack([qs] + ker), A.ctx.p)
-    return [ker[c - qs.shape[1]] for c in pivots if c >= qs.shape[1]]
+    (Q a quartic through A) and of those before them: in the free coordinates
+    vector j falls out iff a form of Q * S_{d-4} ends at j, a reversed pivot."""
+    ker = ideal_piece(A, d)
+    free = np.setdiff1d(np.arange(len(ker[0])), evaluation_matrix(A, d)._reduced()[1])
+    _, reversed_pivots = row_echelon(mult_map(Q, d)[free].T[:, ::-1], A.ctx.p)
+    return [v for j, v in enumerate(ker) if len(free) - 1 - j not in reversed_pivots]
 
 
 def hilbert_burch(A: PointSet) -> HilbertBurch:
@@ -288,18 +297,13 @@ def residual_family(hb: HilbertBurch) -> ResidualFamily:
     # MinorDegenerate unless det(M[1:]) = mu * Q with mu != 0, so neither
     # row of cofactors below vanishes: det(M[1:]) expands along each
     hb.quartic_scale
-    lower = hb.M[1:]  # lower[i][k] = row i+2, column k+1 of M
     # The cofactor of the transposed block without row j and column k is
-    # the minor of the lower block without row k and column j.
-    cofactors = [maximal_minors([list(row) for i, row in enumerate(lower) if i != k])
-                 for k in (1, 3)]
-    # Along the conic row (0, q2, 0, q4) minor j is -q2 * C_j1 - q4 * C_j3;
+    # the minor of the lower block without row k and column j, so along
+    # the conic row (0, q2, 0, q4) minor j is -q2 * C_j1 - q4 * C_j3;
     # q * C is linear in the six coefficients of q through mult_map(C, 5).
-    minors = []
-    for j in range(4):
-        others = tuple(c for c in range(4) if c != j)
-        blocks = [mult_map(minors_k[others], 5) for minors_k in cofactors]
-        minors.append(ParamPoly(ctx, monomial_basis(2, 5), -np.hstack(blocks)))
+    minors = [ParamPoly(ctx, monomial_basis(2, 5),
+                        -np.hstack([mult_map(cof[j], 5) for cof in hb.cofactors]))
+              for j in range(4)]
     return ResidualFamily(hb, tuple(minors))
 
 

@@ -7,11 +7,16 @@ C(j+n, n) columns of ev(Z, D) are ev(Z, j) up to row scaling by
 x0^(D-j) (monomials lex-descending), so one elimination gives h_Z(0..D);
 hilbert_profile shears where x0 meets Z.  hilbert_value reads h_Z(j)
 from an int memo on Z that hilbert_profile, cb_check and passing Kruskal
-levels of size ell feed.  Also here: first differences, the h^1 defect
-ell(Z) - h_Z(d), Kruskal ranks (memoised per degree and subset size; at
-the column count by one sweep over maximal minors on the Laplace tables
-of polys, below it by subset enumeration), the Cayley-Bacharach
-predicate, and intersection dimensions of Veronese spans.
+levels of size ell feed.  Where x0 vanishes at no point, it reduces
+ev(Z, d0), d0 the least d with ell <= C(d+n, n), as [ev(Z, d0) | I] and
+keeps the right block, the row transform G: G * ev(Z, d0) is the RREF,
+so once h_Z(d0) = ell, RREF(ev(Z, d)) past d0 is G * diag(x0^(d0-d)) *
+ev(Z, d), whose first C(d0+n, n) columns are reduced already.  Also
+here: first differences, the h^1 defect ell(Z) - h_Z(d), Kruskal ranks
+(memoised per degree and subset size; at the column count by one sweep
+over maximal minors on the Laplace tables of polys, below it by subset
+enumeration), the Cayley-Bacharach predicate, and intersection
+dimensions of Veronese spans.
 
 Two coordinate tuples are the same projective point iff their
 canonical representatives (first nonzero coordinate scaled to 1) agree;
@@ -69,11 +74,12 @@ class PointSet:
     Coordinate representatives are fixed at construction (reduced mod p)
     and the order is meaningful for reporting.  Floats, complex numbers
     and bools are refused with TypeError.  Evaluation matrices, Hilbert
-    values, Kruskal levels and the octic14 point stages are memoised on
-    the object, since the value is immutable.
+    values, Kruskal levels, the chart and row transform (_memo) and the
+    octic14 point stages are memoised on the object, as it is immutable.
     """
 
-    __slots__ = ("ctx", "n", "points", "_ev_cache", "_hilbert", "_kruskal_levels", "_octic14")
+    __slots__ = ("ctx", "n", "points", "_ev_cache", "_hilbert", "_kruskal_levels", "_memo",
+                 "_octic14")
 
     def __init__(self, ctx: PrimeContext, points):
         def residue(c):  # operator.index refuses floats and numpy bools
@@ -100,6 +106,7 @@ class PointSet:
         object.__setattr__(self, "_ev_cache", {})
         object.__setattr__(self, "_hilbert", {})
         object.__setattr__(self, "_kruskal_levels", {})
+        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_octic14", {})
 
     def __setattr__(self, *_):
@@ -160,21 +167,30 @@ def evaluation_matrix(Z: PointSet, d: int) -> DenseMatrix:
 
 
 def ideal_piece(Z: PointSet, d: int) -> list[np.ndarray]:
-    """Canonical basis of the degree-d piece of the ideal of Z."""
-    return evaluation_matrix(Z, d).kernel_basis()
+    """Canonical basis of the degree-d piece of the ideal of Z; past d0, once
+    h_Z(d0) = ell, from the row transform G instead of an elimination."""
+    ev = evaluation_matrix(Z, d)
+    d0, G, piv = Z._memo.get("transform", (d, None, ()))
+    if ev._echelon is None and d > d0 and len(piv) == len(Z):
+        scale = [pow(q[0], d0 - d, Z.ctx.p) for q in Z.points]
+        ev._reduced((matmul_mod(G * scale % Z.ctx.p, ev.a, Z.ctx.p), piv))
+    return ev.kernel_basis()
 
 
 def _chart(Z: PointSet) -> tuple[int, np.ndarray] | None:
     """(t, coordinates of Z with x0 replaced by L_t = x0 + t*x1 + ... +
     t^n*xn) for the least t at which L_t vanishes at no point, or None
-    if none does; each point is a root of at most n of the L_t."""
-    a, p = Z.coords_array(), Z.ctx.p
-    for t in range(min(p, Z.n * len(Z) + 1)):
-        lead = matmul_mod(a, np.array([pow(t, k, p) for k in range(Z.n + 1)]), p)
-        if lead.all():
-            a[:, 0] = lead
-            return t, a
-    return None
+    if none does (a point is a root of at most n of the L_t); memoised."""
+    if "chart" not in Z._memo:
+        a, p, chart = Z.coords_array(), Z.ctx.p, None
+        for t in range(min(p, Z.n * len(Z) + 1)):
+            lead = matmul_mod(a, np.array([pow(t, k, p) for k in range(Z.n + 1)]), p)
+            if lead.all():
+                a[:, 0] = lead
+                chart = t, a
+                break
+        Z._memo["chart"] = chart
+    return Z._memo["chart"]
 
 
 def _reached_ell(Z: PointSet, j: int) -> bool:
@@ -184,10 +200,19 @@ def _reached_ell(Z: PointSet, j: int) -> bool:
 
 
 def hilbert_value(Z: PointSet, j: int) -> int:
-    """h_Z(j): from the memo on Z, else ell from a lower degree at ell,
-    else the rank of the memoised ev(Z, j); the memo keeps the answer."""
-    if j not in Z._hilbert:
-        Z._hilbert[j] = len(Z) if _reached_ell(Z, j) else evaluation_matrix(Z, j).rank()
+    """h_Z(j): from the memo on Z, else ell from a lower degree at ell, else
+    the rank of ev(Z, j), keeping G at d0; the memo keeps the answer."""
+    if j not in Z._hilbert and _reached_ell(Z, j):
+        Z._hilbert[j] = len(Z)
+    elif j not in Z._hilbert:
+        ev = evaluation_matrix(Z, j)
+        # at d0, the least j with ell <= C(j+n, n); a scan, as a check builds no chart
+        if (ev._echelon is None and comb(j + Z.n - 1, Z.n) < len(Z) <= ev.cols
+                and all(q[0] for q in Z.points)):
+            r, piv = row_echelon(np.hstack([ev.a, np.eye(len(Z), dtype=np.int64)]), Z.ctx.p)
+            ev._reduced((r[:, :ev.cols], piv := tuple(piv[:bisect_left(piv, ev.cols)])))
+            Z._memo["transform"] = j, r[:, ev.cols:], piv
+        Z._hilbert[j] = ev.rank()
     return Z._hilbert[j]
 
 
@@ -379,14 +404,18 @@ def cb_check(Z: PointSet, d: int) -> bool:
     some linear dependency among the rows of ev(Z, d) involves P: so iff
     no column of a basis of the left kernel is zero.  Independent rows
     (h_Z(d) = ell, perhaps known to the memo) have no dependency and fail.
+    At d <= d0 the rows of G past h_Z(d) are a basis once column i is
+    scaled by x0_i^(d0-d), which zeroes no column.
     """
     if len(Z) < 2:
         raise ValueError("Cayley-Bacharach needs at least two points")
     if _reached_ell(Z, d):
         return False
-    deps = kernel_mod(evaluation_matrix(Z, d).a.T, Z.ctx.p)
+    d0, G, piv = Z._memo.get("transform", (-1, None, ()))
+    deps = (G[bisect_left(piv, comb(d + Z.n, Z.n)):] if d <= d0
+            else np.array(kernel_mod(evaluation_matrix(Z, d).a.T, Z.ctx.p)))
     Z._hilbert[d] = len(Z) - len(deps)
-    return bool(deps) and bool(np.all(np.any(np.array(deps) != 0, axis=0)))
+    return bool(len(deps)) and bool(np.all(np.any(deps != 0, axis=0)))
 
 
 def span_intersection_dim(A: PointSet, B: PointSet, d: int) -> int:

@@ -380,6 +380,39 @@ def test_kernel_matches_oracle_on_certifier_shapes(kind, shape, p):
     assert np.array_equal(a, before)
 
 
+# Between two reductions mod p the trailing block takes
+# (2**63 - 1) // (p - 1)**2 - 1 updates: 1 at 2**31 - 1, 2 at 1518500279,
+# 3 at 1518500213 and billions at 31991, where the one % p is at the end.
+DELAYED_PRIMES = (3, 7, 31991, 1518500213, 1518500279, 2**31 - 1)
+
+
+@given(st.sampled_from(DELAYED_PRIMES), st.integers(1, 24), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=120)
+def test_delayed_reduction_matches_plain_ints(p, m, n, seed):
+    # entries near p, zero columns and repeated rows, so pivots go missing
+    # while the block carries unreduced updates
+    rng = np.random.default_rng(seed)
+    a = p - 1 - rng.integers(0, 3, size=(m, n)) if seed % 3 == 0 else rng.integers(0, p, (m, n))
+    a[:, rng.random(n) < 0.2] = 0
+    if m > 2:
+        a[rng.integers(1, m)] = a[0] * 2 % p
+    r, piv = row_echelon(a, p)
+    assert (r.tolist(), piv) == oracle_rref(a.tolist(), p)
+
+
+@pytest.mark.parametrize("p", (31991, 2**31 - 1))
+@pytest.mark.parametrize("shape", ((60, 300), (22, 220), (60, 45)))
+def test_delayed_reduction_on_wide_matrices(p, shape):
+    # up to 60 pivots of unreduced updates at 31991, one per pivot at 2**31 - 1
+    m, n = shape
+    a = certifier_matrix("planted", p, m, n)
+    a[:, n // 3] = 0
+    r, piv = row_echelon(a, p)
+    assert (r.tolist(), piv) == oracle_rref(a.tolist(), p)
+    assert len(piv) == min(m, n) - 3
+
+
 # ------------------------------------------------ each matrix is reduced once
 
 def count_eliminations(monkeypatch):
@@ -420,10 +453,17 @@ def test_rank_then_kernel_reduces_once(monkeypatch):
 def test_cold_t1_check_reduces_ev4_once(monkeypatch):
     from waringcert.driver import run_criteria
 
+    from waringcert import ffield, points
+
     inst = fixture_instance("optics_T1")
     seen = count_eliminations(monkeypatch)
+    monkeypatch.setattr(points, "row_echelon", ffield.row_echelon)
     cert, _ = run_criteria(inst, "all")
     assert cert.display() == "IdentifiableOfRank(14)"
+    # one reduction of [ev(A, 4) | I] gives ev(A, 4) its RREF and keeps the
+    # row transform that ev(A, 5) and the Cayley-Bacharach test read later
     ev4 = inst.pointset._ev_cache[4].a
-    assert ev4.shape == (14, 15)
-    assert sum(1 for a in seen if a is ev4) == 1
+    assert ev4.shape == (14, 15) and not any(a is ev4 for a in seen)
+    stacked = [a for a in seen if np.shape(a) == (14, 29)]
+    assert len(stacked) == 1
+    assert np.array_equal(stacked[0], np.hstack([ev4, np.eye(14, dtype=np.int64)]))

@@ -39,6 +39,8 @@ from waringcert.criteria import Instance
 from waringcert.polys import GradedPoly, _veronese_rows, monomial_basis
 from waringcert.storage import _plain, canonical_json, instance_to_obj
 
+from test_points import count_eliminations
+
 CI_DIFFERENCES = (1, 2, 3, 4, 4, 4, 4, 3, 2, 1, 0)
 
 
@@ -327,6 +329,23 @@ def test_rational_generator_reduces_the_witness_basis_once(monkeypatch):
     assert generated_digest(g) == GOLDEN_RATIONAL_101[3]
     assert (14, 45) in shapes and (31, 45) not in shapes
     assert any(len(s) == 3 for s in shapes)
+
+
+@pytest.mark.parametrize("seed, count", ((0, 9), (1, 11)))
+def test_rational_generator_eliminations(monkeypatch, seed, count):
+    # seed 0's point set reduces [ev(A, 4) | I] once, and its row transform
+    # gives ev(A, 5) and ev(A, 7) their RREF; seed 1's has a point with
+    # x0 = 0, so all three are eliminated.  Either way the quintics and
+    # septics past Q * S are picked in free coordinates, 3 x 7 and 10 x 22
+    # instead of 21 x 10 and 36 x 32 (11 eliminations each before).
+    shapes = count_eliminations(monkeypatch)
+    g = gen_unidentifiable(seed, prime=101, rational_residual=True)
+    assert generated_digest(g) == GOLDEN_RATIONAL_101[seed]
+    assert any(q[0] == 0 for q in g.instance.pointset.points) == (seed == 1)
+    assert len(shapes) == count and {(3, 7), (10, 22)} <= set(shapes)
+    assert not {(21, 10), (36, 32)} & set(shapes)
+    transformed = {(14, 29)}, {(14, 15), (14, 21), (14, 36)}
+    assert transformed[seed] <= set(shapes) and not transformed[1 - seed] & set(shapes)
 
 
 def test_identifiable_generator_is_pinned():

@@ -1,4 +1,5 @@
 import gc
+from math import comb
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from waringcert.polys import GradedPoly, det_poly, monomial_basis
 from waringcert.storage import build_report
 
 from conftest import fixture_instance, random_pointset
+from test_ffield import oracle_rref
 
 
 @pytest.fixture(scope="module")
@@ -609,3 +611,51 @@ def test_octic14_shortcuts_match_direct_constructions(octic_instances):
         assert system_rows_full(inst, fam).tolist() == rows, what
         report = second_decomposition_system(inst, fam, mode=PAPER13)
         assert report.selected_columns == stacked_selection(inst, fam), what
+
+
+# ------------------- Hilbert-Burch shortcuts against the expansions they skip
+
+@pytest.fixture(scope="module")
+def hb_point_sets(t1, t2):
+    # generator draws at p = 31991, and rational-residual ones at p = 101
+    # and p = 7, where some sets have a point with x0 = 0 and so no row
+    # transform
+    out = [("T1", t1.pointset), ("T2", t2.pointset)]
+    for seed in range(4):
+        out.append((f"id-{seed}", gen_identifiable(seed).instance.pointset))
+        out.append((f"r101-{seed}", gen_unidentifiable(
+            seed, prime=101, rational_residual=True).instance.pointset))
+    for seed in (0, 2, 5):
+        out.append((f"r7-{seed}", gen_unidentifiable(
+            seed, prime=7, rational_residual=True).instance.pointset))
+    assert any(q[0] == 0 for _, A in out for q in A.points)
+    assert any(all(q[0] for q in A.points) for _, A in out)
+    return out
+
+
+def test_quartic_scale_matches_the_full_determinant(hb_point_sets):
+    # expanded along the second row from the cached cofactors, the 4 x 4
+    # linear minor is the determinant det_poly computes from scratch
+    for what, A in hb_point_sets:
+        hb = hilbert_burch(A)
+        direct = det_poly([list(row) for row in hb.M[1:]])
+        assert hb.quartic_scale == _proportionality(direct, hb.Q, "not proportional"), what
+
+
+def plain_selection(A, Q, d):
+    """The canonical kernel vectors of ev(A, d) at the pivots past Q * S_{d-4}
+    of the plain-int RREF of [mult_map(Q, d) | kernel]."""
+    ker = [v.tolist() for v in evaluation_matrix(PointSet(A.ctx, A.points), d).kernel_basis()]
+    qs = mult_map(Q, d)
+    stack = [list(map(int, row)) + [v[i] for v in ker] for i, row in enumerate(qs)]
+    _, pivots = oracle_rref(stack, A.ctx.p)
+    return [ker[c - qs.shape[1]] for c in pivots if c >= qs.shape[1]]
+
+
+@pytest.mark.parametrize("d", (5, 6, 7))
+def test_selection_in_free_coordinates_matches_the_stacked_echelon(hb_point_sets, d):
+    for what, A in hb_point_sets:
+        Q = hilbert_burch(A).Q
+        got = [v.tolist() for v in octic14.ideal_past_quartic(A, Q, d)]
+        assert got == plain_selection(A, Q, d), (what, d)
+        assert len(got) == comb(d + 2, 2) - 14 - comb(d - 2, 2)  # I_A(d) past Q * S_{d-4}

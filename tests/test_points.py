@@ -29,13 +29,13 @@ from waringcert import monomial_basis, run_criteria
 from waringcert import octic14 as octic14_module
 from waringcert.errors import DuplicatePoint, ZeroPoint
 from waringcert import points as points_module
-from waringcert.ffield import rank_mod
+from waringcert.ffield import kernel_mod, matmul_mod, rank_mod
 from waringcert.points import (MAX_EVALUATION_ENTRIES, hilbert_value, kruskal_level,
                                kruskal_rank_at_least,
                                projectively_equal)
 
 from conftest import fixture_instance, random_pointset, six_point_sets
-from test_ffield import oracle_rank
+from test_ffield import oracle_kernel, oracle_rank, oracle_rref
 
 
 def conic_points(ctx, ts):
@@ -351,7 +351,8 @@ def memo_test_set(ctx, n, rng):
     for r in rows:
         if any(c % p for c in r):
             keys.setdefault(points_module._canonical_point(tuple(c % p for c in r), p), r)
-    return PointSet(ctx, list(keys.values()))
+    # every drawn row may be zero mod p, and a point set needs a point
+    return PointSet(ctx, list(keys.values()) or [[1] + [0] * n])
 
 
 @given(st.sampled_from((3, 5, 7, 101, 31991)), st.integers(1, 3),
@@ -378,13 +379,67 @@ def test_hilbert_value_matches_a_fresh_rank_in_any_order(p, n, seed):
     assert [hilbert_value(z, j) for j in range(ell + 1)] == fresh
 
 
-@pytest.mark.parametrize("name, count", (("optics_T1", 7), ("optics_T2", 10)))
+@given(st.sampled_from((3, 5, 7, 101, 31991, 2**31 - 1)), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60)
+def test_row_transform_agrees_with_elimination(p, n, seed, x0_zero):
+    # h_Z(d0) reduces [ev(Z, d0) | I] where x0 vanishes nowhere.  Past d0,
+    # once h_Z(d0) = ell, the RREF of ev(Z, d) comes from its right block G;
+    # at d <= d0 (ell > C(d+n, n) below d0) the rows of G past h_Z(d), column
+    # i scaled by x0_i^(d0-d), are the dependencies cb_check reads.  Each
+    # must equal what a plain-int elimination gives.
+    ctx = PrimeContext(p)
+    rng = np.random.default_rng(seed)
+    z = memo_test_set(ctx, n, rng)
+    if x0_zero:
+        z = z.union(PointSet(ctx, [(0, 1) + tuple(int(c) for c in rng.integers(0, p, n - 1))]))
+    ell = len(z)
+    d0 = next(d for d in range(ell + 1) if comb(d + n, n) >= ell)
+    assert hilbert_value(z, d0) == oracle_rank(plain_ev(z.points, d0, n, p), p)
+    transform = z._memo.get("transform")
+    assert (transform is not None) == all(q[0] for q in z.points)
+    assert transform is None or transform[0] == d0
+    for d in range(d0 + 3):
+        ev = plain_ev(z.points, d, n, p)
+        rref, pivots = oracle_rref(ev, p)
+        fresh = PointSet(ctx, z.points)
+        assert [v.tolist() for v in ideal_piece(z, d)] == oracle_kernel(ev, len(ev[0]), p)
+        r, piv = evaluation_matrix(z, d)._reduced()
+        assert r.tolist() == rref and list(piv) == pivots
+        if transform is not None and d <= d0:
+            G = transform[1]
+            deps = G[len(pivots):] * [pow(q[0], d0 - d, p) for q in z.points] % p
+            assert not matmul_mod(deps, np.array(ev, dtype=np.int64), p).any()
+            kernel = kernel_mod(np.array(ev, dtype=np.int64).T, p)
+            assert rank_mod(deps, p) == len(kernel) == ell - len(pivots)
+            if kernel:
+                assert rank_mod(np.vstack([deps, np.array(kernel)]), p) == len(kernel)
+        if ell >= 2:
+            assert cb_check(z, d) == cb_check(fresh, d)
+        assert hilbert_value(z, d) == hilbert_value(fresh, d) == len(pivots)
+
+
+def test_row_transform_skips_the_quintic_elimination(monkeypatch):
+    # with h_A(4) = 14 and x0 nowhere zero, ev(A, 5) gets its RREF from G
+    # and Cayley-Bacharach in degree 3 reads the rows of G past h_A(3)
+    A = fixture_instance("optics_T1").pointset
+    shapes = count_eliminations(monkeypatch)
+    assert hilbert_value(A, 4) == 14 and shapes == [(14, 29)]
+    assert len(ideal_piece(A, 5)) == 7 and cb_check(A, 3)
+    assert shapes == [(14, 29)] and hilbert_value(A, 3) == 10
+
+
+@pytest.mark.parametrize("name, count", (("optics_T1", 6), ("optics_T2", 9)))
 def test_cold_octic_check_eliminations(monkeypatch, name, count):
-    # h_A(4) = 14 answers rank(ev(A, 8)) = 14, so no 14 x 45 elimination
+    # h_A(4) = 14 answers rank(ev(A, 8)) = 14, so no 14 x 45 elimination;
+    # ev(A, 4) is reduced once as [ev | I], whose row transform gives ev(A, 5)
+    # its RREF (no 14 x 21), and the quintics past Q * S_1 are picked in
+    # the kernel's free coordinates (3 x 7, not 21 x 10)
     inst = fixture_instance(name)
     shapes = count_eliminations(monkeypatch)
     run_criteria(inst)
-    assert len(shapes) == count and (14, 45) not in shapes
+    assert len(shapes) == count and shapes.count((14, 29)) == 1 and (3, 7) in shapes
+    assert not {(14, 45), (14, 15), (14, 21), (21, 10)} & set(shapes)
 
 
 def test_lowest_degree_first_in_range_and_mo(ctx, monkeypatch):
@@ -519,7 +574,7 @@ def test_kruskal_brute_force_agreement(ctx):
     # exhaustive oracle: largest k with every k-subset of full row rank
     from itertools import combinations
 
-    from waringcert.ffield import rank_mod
+    from waringcert.ffield import kernel_mod, matmul_mod, rank_mod
 
     rng = np.random.default_rng(23)
     for _ in range(5):
@@ -538,7 +593,7 @@ def loop_kruskal_detail(mat, p):
     descend from the cap, stop a size at its first dependent subset."""
     from itertools import combinations
 
-    from waringcert.ffield import rank_mod
+    from waringcert.ffield import kernel_mod, matmul_mod, rank_mod
 
     ell, cols = mat.shape
     examined = 0
