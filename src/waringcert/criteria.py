@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import BadSplit, NotConcise, RedundancyDetected
 from .ffield import PrimeContext, as_residues, matmul_mod
-from .points import PointSet, evaluation_matrix, hilbert_value, kruskal_rank_at_least
+from .points import (PointSet, evaluation_matrix, hilbert_value, kruskal_cap,
+                     kruskal_rank_at_least, kruskal_rank_detail)
 
 IDENTIFIABLE = "identifiable"
 COMPUTES_RANK = "computes_rank"
@@ -143,12 +144,12 @@ def reshaped_kruskal_certify(inst: Instance) -> Certificate:
     if d < 3:
         raise BadSplit(f"degree {d} < 3 admits no split")
     rk = check_nonredundant(inst)
-    ell, n = inst.length, inst.pointset.n
+    A, ell = inst.pointset, inst.length
     evidence = [("rank_ev_d", rk), ("lambda_nonzero", True)]
     best = None
     for s in admissible_splits(d):
         name = "_".join(map(str, s))
-        caps = [min(comb(n + di, n), ell) for di in s]
+        caps = [kruskal_cap(A, di) for di in s]
         bound = Fraction(sum(caps) - 2, 2)
         if bound < ell:
             evidence.append((f"kruskal_cap_bound_{name}",
@@ -157,9 +158,8 @@ def reshaped_kruskal_certify(inst: Instance) -> Certificate:
             ks: list[int] = []
             for i, di in enumerate(s):
                 floor = 2 * ell + 2 - sum(ks) - sum(caps[i + 1:])
-                k = next((k for k in range(caps[i], max(floor, 1) - 1, -1)
-                          if kruskal_rank_at_least(inst.pointset, di, k)), None)
-                if k is None:
+                k = kruskal_rank_detail(A, di, floor)[0]
+                if k == 0:
                     break
                 ks.append(k)
             if len(ks) == 3:
@@ -200,7 +200,7 @@ def _plane_certify(inst: Instance, verdict: str, r_cap: int, h_degree: int,
     A, r, d = inst.pointset, inst.length, inst.degree
     ok = r <= r_cap
     if k_degree is not None and ok:
-        k_need = min(comb(k_degree + 2, 2), r)
+        k_need = kruskal_cap(A, k_degree)
         ok = kruskal_rank_at_least(A, k_degree, k_need)
     h = hilbert_value(A, h_degree)
     evidence = [("rank_ev_d", check_nonredundant(inst)), ("lambda_nonzero", True)]

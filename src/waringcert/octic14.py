@@ -72,7 +72,6 @@ from .points import (
     hilbert_value,
     ideal_piece,
     kruskal_level,
-    kruskal_rank_at_least,
     kruskal_rank_detail,
 )
 from .polys import (
@@ -174,13 +173,12 @@ def check_preconditions(inst: Instance) -> tuple:
                                  "zero coefficient makes A redundant for T")
     if h4 != 14:
         raise PreconditionFailed(2, h4, f"h_A(4) = {h4} != 14")
-    if not kruskal_rank_at_least(A, 3, 10):
-        examined, subset = kruskal_level(A, 3, 10)
+    k3, examined = kruskal_rank_detail(A, 3, 10)  # 10 is the cap: one level
+    if k3 < 10:
+        subset = kruskal_level(A, 3, 10)[1]
         raise PreconditionFailed(
             3, subset, f"k_3(A) < 10: the 10-subset {subset} is "
                        f"dependent (subset {examined} in combinations order)")
-    # 10 is the cap, so the exact rank reads the level just decided
-    k3, examined = kruskal_rank_detail(A, 3)
     return (
         ("rank_ev8", r8),
         ("lambda_nonzero", True),

@@ -12,11 +12,13 @@ ev(Z, d0), d0 the least d with ell <= C(d+n, n), as [ev(Z, d0) | I] and
 keeps the right block, the row transform G: G * ev(Z, d0) is the RREF,
 so once h_Z(d0) = ell, RREF(ev(Z, d)) past d0 is G * diag(x0^(d0-d)) *
 ev(Z, d), whose first C(d0+n, n) columns are reduced already.  Also
-here: first differences, the h^1 defect ell(Z) - h_Z(d), Kruskal ranks
-(memoised per degree and subset size; at the column count by one sweep
-over maximal minors on the Laplace tables of polys, below it by subset
-enumeration), the Cayley-Bacharach predicate, and intersection
-dimensions of Veronese spans.
+here: first differences, the h^1 defect ell(Z) - h_Z(d), Kruskal ranks,
+the Cayley-Bacharach predicate, and intersection dimensions of Veronese
+spans.  kruskal_level alone decides a Kruskal level, memoised per degree
+and subset size (at the column count by one sweep over maximal minors
+on the Laplace tables of polys, below it by subset enumeration); the
+gate at k reads level k, and the one descent runs from kruskal_cap, the
+one definition of min(C(n+d, n), ell), down to a floor.
 
 Two coordinate tuples are the same projective point iff their
 canonical representatives (first nonzero coordinate scaled to 1) agree;
@@ -132,10 +134,6 @@ class PointSet:
         extra = [q for q, key in zip(other.points, other.canonical_keys())
                  if key not in mine]
         return PointSet(self.ctx, list(self.points) + extra)
-
-    def intersection_size(self, other: "PointSet") -> int:
-        mine = set(self.canonical_keys())
-        return sum(1 for key in other.canonical_keys() if key in mine)
 
     def __repr__(self):
         return f"PointSet({len(self)} points in P^{self.n} over Z_{self.ctx.p})"
@@ -330,7 +328,7 @@ def _first_dependent_subset(mat: np.ndarray, p: int, k: int):
         examined += len(chunk)
 
 
-def _kruskal_cap(Z: PointSet, d: int) -> int:
+def kruskal_cap(Z: PointSet, d: int) -> int:
     """min(C(n+d, n), ell): no larger subset of ell points in C(n+d, n)
     coordinates can be independent."""
     if d < 0:
@@ -348,7 +346,7 @@ def kruskal_level(Z: PointSet, d: int, k: int) -> tuple[int, tuple[int, ...] | N
     """
     record = Z._kruskal_levels.get((d, k))
     if record is None:
-        cap = _kruskal_cap(Z, d)
+        cap = kruskal_cap(Z, d)
         if not 1 <= k <= cap:
             raise ValueError(f"subset size {k} is outside 1..{cap}")
         record = _first_dependent_subset(evaluation_matrix(Z, d).a, Z.ctx.p, k)
@@ -364,14 +362,15 @@ def kruskal_rank(Z: PointSet, d: int) -> int:
     return kruskal_rank_detail(Z, d)[0]
 
 
-def kruskal_rank_detail(Z: PointSet, d: int) -> tuple[int, int]:
-    """(kruskal rank, subsets examined over its levels).
+def kruskal_rank_detail(Z: PointSet, d: int, floor: int = 1) -> tuple[int, int]:
+    """(kruskal rank, subsets examined over its levels), or (0, examined)
+    once every level from the cap down to floor has failed.
 
     Searches downward from the cap: generic sets pass the first level,
     and once all k-subsets are independent every smaller subset is too.
     """
     examined = 0
-    for k in range(_kruskal_cap(Z, d), 0, -1):
+    for k in range(kruskal_cap(Z, d), max(floor, 1) - 1, -1):
         n_checked, witness = kruskal_level(Z, d, k)
         examined += n_checked
         if witness is None:
@@ -380,20 +379,9 @@ def kruskal_rank_detail(Z: PointSet, d: int) -> tuple[int, int]:
 
 
 def kruskal_rank_at_least(Z: PointSet, d: int, k: int) -> bool:
-    """Gate for k_d(Z) >= k: decides level k alone instead of descending
-    to the exact rank.  Every k <= 0 holds, and a level above k that
-    already passed answers without eliminating.  A failure is never
-    inferred from a lower level, so it always leaves the record of level
-    k, whose dependent subset precondition 3 reports."""
-    if k <= 0:
-        return True
-    if (d, k) not in Z._kruskal_levels:
-        if k > _kruskal_cap(Z, d):
-            return False
-        if any(e == d and j > k and witness is None
-               for (e, j), (_, witness) in Z._kruskal_levels.items()):
-            return True
-    return kruskal_level(Z, d, k)[1] is None
+    """Gate for k_d(Z) >= k, which holds iff every k-subset is
+    independent: level k's own record, or True for every k <= 0."""
+    return k <= 0 or (k <= kruskal_cap(Z, d) and kruskal_level(Z, d, k)[1] is None)
 
 
 def cb_check(Z: PointSet, d: int) -> bool:

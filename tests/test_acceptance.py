@@ -219,7 +219,7 @@ def test_criterion_6_cap_oracle_equivalence(ctx):
             continue
         if evaluation_matrix(b, d).rank() != len(b):
             continue
-        if a.intersection_size(b) > 0:
+        if set(a.canonical_keys()) & set(b.canonical_keys()):
             overlapping += 1
         if span_intersection_dim(a, b, d) != cap_formula_dim(a, b, d):
             mismatches += 1

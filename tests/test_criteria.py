@@ -130,29 +130,30 @@ def test_reshaped_kruskal_stops_at_its_floors_on_a_collinear_tail(ctx):
 
 
 def test_reshaped_kruskal_decides_each_level_once_across_splits(ctx, monkeypatch):
-    # 5+4+3 and 5+5+2 both descend k_5 from its cap 21: the second split
-    # reads the level the first one decided from the point set
+    # 5+4+3 and 5+5+2 both descend k_5 from its cap 21, to floors 21 and
+    # 19: the second split reads the level the first one decided from the
+    # point set
     rng = np.random.default_rng(0)
     pts = [tuple(int(c) for c in row) for row in rng.integers(1, ctx.p, size=(14, 3))]
     pts += [(1, t, 0) for t in range(1, 9)]
     inst = Instance(PointSet(ctx, pts), 12, rng.integers(1, ctx.p, size=22))
     asked, decided = [], []
-    at_least, first_dependent = (criteria_module.kruskal_rank_at_least,
-                                 points_module._first_dependent_subset)
+    detail, first_dependent = (criteria_module.kruskal_rank_detail,
+                               points_module._first_dependent_subset)
 
-    def asking(Z, d, k):
-        asked.append((d, k))
-        return at_least(Z, d, k)
+    def asking(Z, d, floor):
+        asked.append((d, floor))
+        return detail(Z, d, floor)
 
     def deciding(mat, p, k):
         decided.append((mat.shape[1], k))
         return first_dependent(mat, p, k)
 
-    monkeypatch.setattr(criteria_module, "kruskal_rank_at_least", asking)
+    monkeypatch.setattr(criteria_module, "kruskal_rank_detail", asking)
     monkeypatch.setattr(points_module, "_first_dependent_subset", deciding)
     cert = reshaped_kruskal_certify(inst)
     assert cert.evidence_dict()["kruskal_bound_5_5_2"] == "(<19+21+6-2)/2 < 22"
-    assert asked.count((5, 21)) == 2 and decided.count((21, 21)) == 1
+    assert asked == [(5, 21), (5, 19), (6, 22)] and decided.count((21, 21)) == 1
     assert len(set(decided)) == len(decided)
 
 

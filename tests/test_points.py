@@ -84,7 +84,7 @@ def test_union_and_intersection(ctx):
     b = PointSet(ctx, [(2, 2, 2), (0, 0, 5), (0, 1, 1)])
     u = a.union(b)
     assert len(u) == 5  # (2,2,2) ~ (1,1,1)
-    assert a.intersection_size(b) == 1
+    assert len(set(a.canonical_keys()) & set(b.canonical_keys())) == 1
 
 
 # ------------------------------------------------------------------ evaluation
@@ -588,19 +588,16 @@ def test_kruskal_brute_force_agreement(ctx):
         assert kruskal_rank(z, 1) == brute
 
 
-def loop_kruskal_detail(mat, p):
-    """Kruskal rank and subsets examined by the plain per-subset loop:
-    descend from the cap, stop a size at its first dependent subset."""
-    from itertools import combinations
-
-    from waringcert.ffield import kernel_mod, matmul_mod, rank_mod
-
-    ell, cols = mat.shape
+def loop_kruskal_detail(mat, p, floor=1):
+    """Kruskal rank and subsets examined by the plain per-subset loop on
+    plain ints: descend from the cap, stop a size at its first dependent
+    subset, and give (0, examined) once every size down to floor failed."""
+    ell, cols = len(mat), len(mat[0])
     examined = 0
-    for k in range(min(ell, cols), 0, -1):
+    for k in range(min(ell, cols), max(floor, 1) - 1, -1):
         for sub in combinations(range(ell), k):
             examined += 1
-            if rank_mod(mat[list(sub)], p) != k:
+            if oracle_rank([mat[i] for i in sub], p) != k:
                 break
         else:
             return k, examined
@@ -636,6 +633,27 @@ def test_kruskal_detail_matches_subset_loop(p):
     assert failures > 0
 
 
+@given(st.sampled_from((5, 7, 13, 101, 31991)), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40)
+def test_kruskal_descent_with_a_floor_matches_subset_loop(p, n, d, seed, data):
+    # every floor in 1..cap+1 of the descent and every gate k in -1..cap+1,
+    # asked of one point set in an order hypothesis picks, must each answer
+    # as the plain-int loop does, whatever was asked before
+    ctx = PrimeContext(p)
+    z = memo_test_set(ctx, n, np.random.default_rng(seed))
+    z = PointSet(ctx, z.points[:9])  # the line or conic points come first
+    mat = plain_ev(z.points, d, n, p)
+    cap = min(len(z), comb(n + d, n))
+    k_d = loop_kruskal_detail(mat, p)[0]
+    queries = ([(kruskal_rank_detail, f, loop_kruskal_detail(mat, p, f))
+                for f in range(1, cap + 2)]
+               + [(kruskal_rank_at_least, k, k_d >= k) for k in range(-1, cap + 2)])
+    for query, arg, oracle in data.draw(st.permutations(queries)):
+        assert query(z, d, arg) == oracle
+    assert kruskal_rank_detail(z, d) == loop_kruskal_detail(mat, p)
+
+
 def test_kruskal_at_least_records_only_the_level_it_decides(ctx, monkeypatch):
     # a pass below the cap is not the exact rank; a pass at the cap is
     z = fixture_instance("optics_T1").pointset
@@ -645,7 +663,9 @@ def test_kruskal_at_least_records_only_the_level_it_decides(ctx, monkeypatch):
     assert kruskal_level(z, 2, 5) == (comb(14, 5), None)
     assert kruskal_level(z, 3, 10) == (1001, None)
     assert kruskal_rank_detail(z, 3) == (10, 1001)
-    assert kruskal_rank_at_least(z, 2, 4)  # level 5 passed, so 4 does
+    assert kruskal_rank_at_least(z, 2, 5)  # level 5's own record answers 5
+    with pytest.raises(AssertionError, match="eliminating again"):
+        kruskal_rank_at_least(z, 2, 4)  # level 4 is undecided
     with pytest.raises(AssertionError, match="eliminating again"):
         kruskal_rank_detail(z, 2)  # its cap, level 6, is undecided
 
@@ -930,7 +950,8 @@ def test_span_intersection_trivial_cases(ctx):
 def cap_formula_dim(A, B, d):
     """The closed-form side of span_intersection_dim:
     ell(A intersect B) - 1 + h^1_{A union B}(d)."""
-    return A.intersection_size(B) - 1 + h1_defect(A.union(B), d)
+    common = set(A.canonical_keys()) & set(B.canonical_keys())
+    return len(common) - 1 + h1_defect(A.union(B), d)
 
 
 def test_cap_formula_agreement(ctx):
