@@ -27,7 +27,7 @@ class DegreeMismatch(WaringError):
 
 
 class InhomogeneousDeterminant(WaringError):
-    """Entry degrees do not make the determinant homogeneous."""
+    """A row of the array of forms has entries of more than one degree."""
 
 
 class BadSplit(WaringError):

@@ -314,10 +314,6 @@ class DenseMatrix:
         raise AttributeError("DenseMatrix is immutable")
 
     @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
     def cols(self) -> int:
         return self.a.shape[1]
 
@@ -340,14 +336,6 @@ class DenseMatrix:
         r, piv = self._reduced()
         return _kernel_from_echelon(r, list(piv), self.ctx.p)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DenseMatrix)
-            and other.ctx == self.ctx
-            and other.a.shape == self.a.shape
-            and bool(np.all(other.a == self.a))
-        )
-
     def __repr__(self):
-        return f"DenseMatrix({self.rows}x{self.cols} over Z_{self.ctx.p})"
+        return f"DenseMatrix({self.a.shape[0]}x{self.cols} over Z_{self.ctx.p})"
 

@@ -191,7 +191,7 @@ def check_preconditions(inst: Instance) -> tuple:
 def unique_quartic(A: PointSet) -> GradedPoly:
     """The quartic spanning the degree-4 ideal piece, scaled so its first
     nonzero coefficient is 1."""
-    kern = evaluation_matrix(A, 4).kernel_basis()
+    kern = ideal_piece(A, 4)
     if len(kern) != 1:
         raise QuarticNotUnique(
             f"degree-4 ideal piece has dimension {len(kern)}, expected 1"
@@ -217,7 +217,7 @@ def ideal_past_quartic(A: PointSet, Q: GradedPoly, d: int) -> list[np.ndarray]:
     (Q a quartic through A) and of those before them: in the free coordinates
     vector j falls out iff a form of Q * S_{d-4} ends at j, a reversed pivot."""
     ker = ideal_piece(A, d)
-    free = np.setdiff1d(np.arange(len(ker[0])), evaluation_matrix(A, d)._reduced()[1])
+    free = [int(np.flatnonzero(v)[-1]) for v in ker]  # later columns are pivots
     _, reversed_pivots = row_echelon(mult_map(Q, d)[free].T[:, ::-1], A.ctx.p)
     return [v for j, v in enumerate(ker) if len(free) - 1 - j not in reversed_pivots]
 
@@ -233,8 +233,8 @@ def hilbert_burch(A: PointSet) -> HilbertBurch:
     structure is reproducible bit for bit.  Memoised on A; a failure
     is not, so it is raised again on the next call.
     """
-    if "hb" in A._octic14:
-        return A._octic14["hb"]
+    if "hilbert_burch" in A._memo:
+        return A._memo["hilbert_burch"]
     ctx = A.ctx
     p = ctx.p
     Q = unique_quartic(A)
@@ -260,7 +260,7 @@ def hilbert_burch(A: PointSet) -> HilbertBurch:
     M = tuple(tuple(columns[k][i] for k in range(4)) for i in range(5))
     hb = HilbertBurch(Q, tuple(quintics), M)
     hb.quartic_scale  # expand the 4x4 minor now, so a bad one fails here
-    A._octic14["hb"] = hb
+    A._memo["hilbert_burch"] = hb
     return hb
 
 
@@ -310,11 +310,11 @@ def point_stages(A: PointSet) -> tuple:
     residual family of A, or None for the family when C has rank below
     12.  Memoised on A; a stage that raises stores nothing, so the next
     call raises again."""
-    if "stages" not in A._octic14:
+    if "point_stages" not in A._memo:
         hb = hilbert_burch(A)
         Cm, crank = normalization_check(hb)
-        A._octic14["stages"] = (hb, Cm, residual_family(hb) if crank == 12 else None)
-    return A._octic14["stages"]
+        A._memo["point_stages"] = (hb, Cm, residual_family(hb) if crank == 12 else None)
+    return A._memo["point_stages"]
 
 
 def system_rows_full(inst: Instance, fam: ResidualFamily) -> np.ndarray:

@@ -76,12 +76,11 @@ class PointSet:
     Coordinate representatives are fixed at construction (reduced mod p)
     and the order is meaningful for reporting.  Floats, complex numbers
     and bools are refused with TypeError.  Evaluation matrices, Hilbert
-    values, Kruskal levels, the chart and row transform (_memo) and the
+    values, Kruskal levels and, in _memo, the chart, row transform and
     octic14 point stages are memoised on the object, as it is immutable.
     """
 
-    __slots__ = ("ctx", "n", "points", "_ev_cache", "_hilbert", "_kruskal_levels", "_memo",
-                 "_octic14")
+    __slots__ = ("ctx", "n", "points", "_ev_cache", "_hilbert", "_kruskal_levels", "_memo")
 
     def __init__(self, ctx: PrimeContext, points):
         def residue(c):  # operator.index refuses floats and numpy bools
@@ -109,7 +108,6 @@ class PointSet:
         object.__setattr__(self, "_hilbert", {})
         object.__setattr__(self, "_kruskal_levels", {})
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_octic14", {})
 
     def __setattr__(self, *_):
         raise AttributeError("PointSet is immutable")

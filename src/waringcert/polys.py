@@ -10,8 +10,8 @@ weights: dot(F.coeffs, veronese_vector(P, d)) == F(P) for every form F
 of degree d.  Everything downstream (evaluation matrices, ideal pieces,
 orthogonality of a form to an ideal) relies on exactly this contract.
 
-Maximal minors are expanded level by level on the Laplace index tables
-of _laplace_level, shared with the numeric sweep in points.
+Maximal minors of arrays whose rows each have one degree are expanded on
+the Laplace tables of _laplace_level, shared with the sweep in points.
 """
 
 from __future__ import annotations
@@ -288,13 +288,11 @@ def maximal_minors(entries: list[list[GradedPoly]]) -> dict[tuple[int, ...], Gra
     """The k x k minors of a k x m array of forms (k <= m), keyed by their
     column subset in combinations() order.
 
-    Entry degrees must split into row plus column degrees.  Column j is
-    multiplied by x0^pad_j (the largest column degree less its own) at
-    row 0 of product_table, x0^e being the first monomial of its basis, so
-    each row has one degree; by multilinearity the minor on S comes out
-    times x0^pad(S) and is read back the same way.  Level t expands the
-    minors of the bottom t rows along their top row on the _laplace_level
-    tables, one batched product per level, with no minor expanded twice.
+    Each row's entries must share one degree (else InhomogeneousDeterminant),
+    as the conic and linear rows of a Hilbert-Burch matrix do.  Level t
+    expands the minors of the bottom t rows along their top row on the
+    _laplace_level tables, one batched product per level, with no minor
+    expanded twice; each minor's degree is the sum of the row degrees.
     """
     k, m = len(entries), (len(entries[0]) if entries else 0)
     if not 0 < k <= m or any(len(row) != m for row in entries):
@@ -304,24 +302,18 @@ def maximal_minors(entries: list[list[GradedPoly]]) -> dict[tuple[int, ...], Gra
         raise DegreeMismatch("mixed variable counts")
     if any(e.ctx.p != ctx.p for row in entries for e in row):
         raise ValueError("entries over different primes")
-    degs = np.array([[e.degree for e in row] for row in entries], dtype=np.int64)
-    pads = degs.max(axis=1, keepdims=True) - degs
-    if np.any(pads != pads[0]):
-        raise InhomogeneousDeterminant(f"entry degrees {degs.tolist()} are not consistent")
-    pad, p = pads[0].tolist(), ctx.p
+    degs = [[e.degree for e in row] for row in entries]
+    if any(len(set(row)) > 1 for row in degs):
+        raise InhomogeneousDeterminant(f"entry degrees {degs} vary within a row")
     minors, b = np.ones((1, 1), dtype=np.int64), 0
     for t, row in enumerate(reversed(entries), 1):
-        a = row[0].degree + pad[0]
-        f = np.zeros((m, monomial_basis(n, a).size), dtype=np.int64)
-        for j, e in enumerate(row):
-            f[j, product_table(n, pad[j], e.degree)[0]] = e.coeffs
         subs, below = _laplace_level(m, t)
-        prod = _row_products(n, a, b, f[subs], minors[below], p)
-        minors = (prod[:, 0::2].sum(axis=1) - prod[:, 1::2].sum(axis=1)) % p
-        b += a
-    shifts = [sum(pad[c] for c in cols) for cols in combinations(range(m), k)]
-    return {cols: GradedPoly(ctx, monomial_basis(n, b - e), v[product_table(n, e, b - e)[0]])
-            for cols, v, e in zip(combinations(range(m), k), minors, shifts)}
+        f = np.stack([e.coeffs for e in row])
+        prod = _row_products(n, row[0].degree, b, f[subs], minors[below], ctx.p)
+        minors = (prod[:, 0::2].sum(axis=1) - prod[:, 1::2].sum(axis=1)) % ctx.p
+        b += row[0].degree
+    return {cols: GradedPoly(ctx, monomial_basis(n, b), v)
+            for cols, v in zip(combinations(range(m), k), minors)}
 
 
 def det_poly(entries: list[list[GradedPoly]]) -> GradedPoly:
@@ -357,10 +349,6 @@ class ParamPoly:
     @property
     def nparams(self) -> int:
         return self.mat.shape[1]
-
-    @property
-    def degree(self) -> int:
-        return self.basis.d
 
     def specialize(self, avec) -> GradedPoly:
         a = as_residues(avec, self.ctx.p).reshape(-1)

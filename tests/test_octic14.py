@@ -533,7 +533,7 @@ def test_failed_stage_is_not_memoised(ctx):
             hilbert_burch(ps)
         with pytest.raises(QuarticNotUnique):
             point_stages(ps)
-    assert ps._octic14 == {}
+    assert not {"hilbert_burch", "point_stages"} & ps._memo.keys()
 
 
 # ------------------------------- shortcuts against the direct constructions

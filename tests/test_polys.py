@@ -192,30 +192,30 @@ def random_form(rng, ctx, n, d, zero_share=0.0):
     return GradedPoly(ctx, b, rng.integers(0, ctx.p, size=b.size))
 
 
-def random_array(rng, ctx, k, m, row_degs, col_degs, zero_share=0.0, zero_row=None, n=2):
-    return [[GradedPoly.zero(ctx, n, row_degs[i] + col_degs[j]) if i == zero_row
-             else random_form(rng, ctx, n, row_degs[i] + col_degs[j], zero_share)
-             for j in range(m)] for i in range(k)]
+def random_array(rng, ctx, k, m, row_degs, zero_share=0.0, zero_row=None, n=2):
+    """k x m forms, every entry of row i of degree row_degs[i]."""
+    return [[GradedPoly.zero(ctx, n, row_degs[i]) if i == zero_row
+             else random_form(rng, ctx, n, row_degs[i], zero_share)
+             for _ in range(m)] for i in range(k)]
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_det_poly_matches_cofactor_oracle(p, k):
+    # rows of one degree each, as in the Hilbert-Burch matrices: at k = 4
+    # the conic row over linear rows is the family's syzygy matrix shape
     ctx = PrimeContext(p)
     rng = np.random.default_rng([p % 1000, k])
     cases = [
-        ([1] * k, [0] * k, 0.0, None),                          # linear entries
-        ([int(x) for x in rng.integers(0, 3, size=k)],          # mixed degrees
-         [int(x) for x in rng.integers(0, 2, size=k)], 0.0, None),
-        ([1] * k, [int(x) for x in rng.integers(0, 2, size=k)], 0.4, None),
-        ([0] * k, [1] * k, 0.0, int(rng.integers(0, k))),       # a zero row
+        ([1] * k, 0.0, None),                                   # linear entries
+        ([int(x) for x in rng.integers(0, 3, size=k)], 0.0, None),  # rows differ
+        ([2] + [1] * (k - 1), 0.4, None),                       # conic over linear
+        ([1] * k, 0.0, int(rng.integers(0, k))),                # a zero row
     ]
-    for row_degs, col_degs, zero_share, zero_row in cases:
-        if k > 4 and max(row_degs) + max(col_degs) > 2:
-            row_degs = [min(r, 1) for r in row_degs]  # keep the oracle quick
-        entries = random_array(rng, ctx, k, k, row_degs, col_degs, zero_share, zero_row)
+    for row_degs, zero_share, zero_row in cases:
+        entries = random_array(rng, ctx, k, k, row_degs, zero_share, zero_row)
         d = det_poly(entries)
-        assert d.degree == sum(row_degs) + sum(col_degs)
+        assert d.degree == sum(row_degs)
         assert as_terms(d) == terms_det([[as_terms(e) for e in row] for row in entries], p)
         if zero_row is not None:
             assert d.is_zero()
@@ -223,44 +223,50 @@ def test_det_poly_matches_cofactor_oracle(p, k):
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_maximal_minors_are_the_column_subset_determinants(p):
-    # k < m with mixed row and column degrees: every subset's minor is
-    # checked against the cofactor oracle on its own columns
+    # k < m with rows of one degree each, among them the 3 x 4 shapes the
+    # certifier expands (cofactor arrays of linear rows, and a conic row
+    # over linear rows): every subset's minor is checked against the
+    # cofactor oracle on its own columns
     ctx = PrimeContext(p)
     rng = np.random.default_rng(p % 997)
-    cases = [(2, 3, 5, [1, 0, 2], [0, 1, 0, 1, 1])] + [
-        (n, k, m, [int(x) for x in rng.integers(0, 2, size=k)],
-         [int(x) for x in rng.integers(0, 3, size=m)])
+    cases = [(2, 3, 4, [1, 1, 1]), (2, 3, 4, [2, 1, 1]), (2, 2, 5, [1, 0])] + [
+        (n, k, m, [int(x) for x in rng.integers(0, 3, size=k)])
         for n in (1, 3) for k, m in ((2, 4), (3, 4))]
-    for n, k, m, row_degs, col_degs in cases:
-        entries = random_array(rng, ctx, k, m, row_degs, col_degs, n=n)
+    for n, k, m, row_degs in cases:
+        entries = random_array(rng, ctx, k, m, row_degs, n=n)
         minors = maximal_minors(entries)
         assert list(minors) == list(combinations(range(m), k))
         for cols, minor in minors.items():
             square = [[as_terms(row[c]) for c in cols] for row in entries]
-            assert minor.degree == sum(row_degs) + sum(col_degs[c] for c in cols)
+            assert minor.degree == sum(row_degs)
             assert as_terms(minor) == terms_det(square, p)
+        entries[0][m - 1] = random_form(rng, ctx, n, row_degs[0] + 1)
+        with pytest.raises(InhomogeneousDeterminant):
+            maximal_minors(entries)
 
 
 def test_det_poly_inhomogeneous_and_shape_errors(ctx):
     rng = np.random.default_rng(12)
-    for k in (2, 3, 4):
-        entries = random_array(rng, ctx, k, k, [1] * k, [0] * k)
+    for k in (2, 3, 4):  # a conic row over linear rows, one entry a conic too
+        entries = random_array(rng, ctx, k, k, [2] + [1] * (k - 1))
         entries[k - 1][k - 1] = random_form(rng, ctx, 2, 2)
         with pytest.raises(InhomogeneousDeterminant):
             det_poly(entries)
-    entries = random_array(rng, ctx, 2, 3, [0, 0], [0, 1, 0])
-    entries[1][2] = random_form(rng, ctx, 2, 1)  # the first two columns split
+    # entry degrees that split into row plus column degrees are still
+    # refused: each row must have one degree
+    col_degs = [0, 1, 0]
+    entries = [[random_form(rng, ctx, 2, c) for c in col_degs] for _ in range(2)]
     with pytest.raises(InhomogeneousDeterminant):
         maximal_minors(entries)
     with pytest.raises(ValueError):
-        det_poly(random_array(rng, ctx, 2, 3, [1, 1], [0, 0, 0]))
+        det_poly(random_array(rng, ctx, 2, 3, [1, 1]))
     with pytest.raises(ValueError):
-        maximal_minors(random_array(rng, ctx, 3, 2, [1, 1, 1], [0, 0]))
-    mixed_n = random_array(rng, ctx, 2, 3, [1, 1], [0, 0, 0])
+        maximal_minors(random_array(rng, ctx, 3, 2, [1, 1, 1]))
+    mixed_n = random_array(rng, ctx, 2, 3, [1, 1])
     mixed_n[1][2] = random_form(rng, ctx, 3, 1)
     with pytest.raises(DegreeMismatch):
         maximal_minors(mixed_n)
-    mixed_p = random_array(rng, ctx, 2, 3, [1, 1], [0, 0, 0])
+    mixed_p = random_array(rng, ctx, 2, 3, [1, 1])
     mixed_p[0][1] = random_form(rng, PrimeContext(101), 2, 1)
     with pytest.raises(ValueError, match="different primes"):
         maximal_minors(mixed_p)
