@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from .criteria import INCONCLUSIVE
 from .driver import run_criteria
@@ -45,7 +46,6 @@ from .storage import (
     instance_to_obj,
     load_instance,
     save_instance,
-    save_report,
 )
 
 EXIT_VERDICT = 0
@@ -76,7 +76,7 @@ def cmd_check(args) -> int:
     )
     text = canonical_json(report)
     if args.out:
-        save_report(report, args.out)
+        Path(args.out).write_text(text)
     sys.stdout.write(text)
     return EXIT_INCONCLUSIVE if final.verdict == INCONCLUSIVE else EXIT_VERDICT
 

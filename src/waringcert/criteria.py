@@ -2,7 +2,10 @@
 
 An Instance is a point set A, a degree d and a coefficient vector
 lambda; the form itself is T = sum_i lambda_i * v_d(P_i), carried as the
-coefficient vector of T in the degree-d monomial-evaluation basis.
+coefficient vector of T in the degree-d monomial-evaluation basis.  The
+criteria read A and lambda alone, so T is computed on its first read,
+which only the octic14 system, its witness check and the generator's
+self-check make.
 
 Each criterion checks its hypotheses by explicit rank computations and
 returns a Certificate whose evidence lists every number that went into
@@ -14,6 +17,7 @@ error (malformed instance, redundant decomposition).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -43,6 +47,11 @@ class Certificate:
     evidence: tuple = ()
 
     def display(self) -> str:
+        """The verdict as text: one shared string per distinct verdict,
+        however many reports keep it."""
+        return sys.intern(self._display())
+
+    def _display(self) -> str:
         if self.verdict == IDENTIFIABLE:
             return f"IdentifiableOfRank({self.rank})"
         if self.verdict == COMPUTES_RANK:
@@ -60,26 +69,37 @@ class Certificate:
 class Instance:
     """A decomposition A together with the coefficients of the form.
 
-    The derived coefficient vector of T is V_A . lambda where V_A has the
-    degree-d monomial vectors of the points as columns.
+    The coefficient vector of T is lambda . ev(A, d), whose rows are
+    the degree-d monomial vectors of the points.  It is computed on
+    first read and kept read-only; ev(A, d) stays memoised on A.
     """
 
-    __slots__ = ("pointset", "degree", "lam", "coeff_vector")
+    __slots__ = ("pointset", "degree", "lam", "_coeff_vector")
 
     def __init__(self, pointset: PointSet, degree: int, lam):
         if degree < 1:
             raise ValueError("degree must be positive")
+        if any(isinstance(c, (bool, np.bool_))
+               for c in np.asarray(lam, dtype=object).reshape(-1)):
+            raise TypeError("lambda holds a bool, not an integer")
         lam_arr = as_residues(lam, pointset.ctx.p).reshape(-1)
         if lam_arr.shape[0] != len(pointset):
             raise ValueError("lambda length must equal the number of points")
         lam_arr.setflags(write=False)
-        ev = evaluation_matrix(pointset, degree).a
-        t = matmul_mod(lam_arr[None, :], ev, pointset.ctx.p)[0]
-        t.setflags(write=False)
         object.__setattr__(self, "pointset", pointset)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "lam", lam_arr)
-        object.__setattr__(self, "coeff_vector", t)
+        object.__setattr__(self, "_coeff_vector", None)
+
+    @property
+    def coeff_vector(self) -> np.ndarray:
+        t = self._coeff_vector
+        if t is None:
+            ev = evaluation_matrix(self.pointset, self.degree).a
+            t = matmul_mod(self.lam[None, :], ev, self.ctx.p)[0]
+            t.setflags(write=False)
+            object.__setattr__(self, "_coeff_vector", t)
+        return t
 
     def __setattr__(self, *_):
         raise AttributeError("Instance is immutable")

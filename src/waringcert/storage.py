@@ -180,9 +180,3 @@ def _plain(value):
     if hasattr(value, "tolist"):
         return _plain(value.tolist())
     return str(value)
-
-
-def save_report(report: dict, path) -> str:
-    text = canonical_json(report)
-    Path(path).write_text(text)
-    return text

@@ -1,5 +1,6 @@
 import importlib.util
 import time
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,13 @@ import pytest
 from waringcert import (
     Instance,
     PointSet,
+    PrimeContext,
     evaluation_matrix,
+    gen_identifiable,
+    gen_unidentifiable,
     kruskal_rank,
     mo_certify,
+    monomial_basis,
     range_certify,
     ranger_certify,
     reshaped_kruskal_certify,
@@ -20,6 +25,7 @@ from waringcert import criteria as criteria_module
 from waringcert import points as points_module
 from waringcert.criteria import admissible_splits, check_nonredundant
 from waringcert.errors import BadSplit, NotConcise, RedundancyDetected
+from waringcert.storage import canonical_json, instance_to_obj, parse_instance
 
 from conftest import fixture_instance, random_instance, random_pointset
 
@@ -44,6 +50,68 @@ def test_nonredundancy_rejects_dependent_images(ctx):
     ps = PointSet(ctx, [(1, t, 0) for t in range(4)])
     with pytest.raises(RedundancyDetected):
         check_nonredundant(Instance(ps, 1, [1, 1, 1, 1]))
+
+
+# -------------------------------------------------------------------- instance
+
+@pytest.mark.parametrize("p", [3, 101, 31991, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coeff_vector_matches_the_plain_int_sum(p, n):
+    # T = sum_i lambda_i * v_d(P_i), coefficient by coefficient in Python ints
+    rng = np.random.default_rng(p + n)
+    ps = random_pointset(PrimeContext(p), rng, 3, n=n)
+    lam = [int(x) for x in rng.integers(-10 * p, 10 * p, size=3)]
+    d = 4
+    inst = Instance(ps, d, lam)
+    expected = [sum(c * prod(x ** k for x, k in zip(q, e)) for c, q in zip(lam, ps)) % p
+                for e in monomial_basis(n, d).exponents]
+    assert inst.coeff_vector.tolist() == expected
+
+
+def test_coeff_vector_is_a_read_only_memo(ctx):
+    inst = random_instance(ctx, np.random.default_rng(0), 5, 4)
+    t = inst.coeff_vector
+    assert not t.flags.writeable
+    assert inst.coeff_vector is t
+    with pytest.raises(ValueError):
+        t[0] = 1
+    for name in ("coeff_vector", "_coeff_vector", "lam", "degree", "pointset", "other"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, None)
+    assert inst.coeff_vector is t
+
+
+def test_mo_builds_no_evaluation_matrix_in_the_form_degree(ctx):
+    # 20 points of P^3 at d = 9: mo reads h_A up to 4, never the 20 x 220 ev(A, 9)
+    inst = random_instance(ctx, np.random.default_rng(0), 20, 9, n=3)
+    assert mo_certify(inst).display() == "IdentifiableOfRank(20)"
+    assert 9 not in inst.pointset._ev_cache
+
+
+def test_precondition_3_stop_reads_no_octic():
+    # a p = 101 rational-residual octic fails k_3(A) >= 10 before the
+    # octic14 system, the one reader of T, so ev(A, 8) is never built
+    gen = gen_unidentifiable(0, 101, rational_residual=True)
+    inst, _ = parse_instance(canonical_json(instance_to_obj(gen.instance, {})))
+    _, results = run_criteria(inst, "all")
+    assert dict(results)["octic14"].reason.startswith("k_3(A) < 10")
+    assert sorted(inst.pointset._ev_cache) == [3, 4]
+
+
+def test_gen_identifiable_builds_no_octic():
+    inst = gen_identifiable(0).instance
+    assert sorted(inst.pointset._ev_cache) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("lam", [
+    [True, 2, 3],
+    [1, np.bool_(False), 3],
+    np.array([True, True, False]),
+])
+def test_instance_refuses_bool_coefficients(ctx, lam):
+    ps = PointSet(ctx, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(TypeError, match="bool"):
+        Instance(ps, 2, lam)
 
 
 # --------------------------------------------------------------- reshaped bound
@@ -338,6 +406,18 @@ def test_certificates_are_pure(t1):
     a = ranger_certify(t1)
     b = ranger_certify(t1)
     assert a.evidence == b.evidence and a.display() == b.display()
+
+
+@pytest.mark.parametrize("verdict, rank, reason", [
+    (criteria_module.IDENTIFIABLE, 14, None),
+    (criteria_module.COMPUTES_RANK, 9, None),
+    (criteria_module.INCONCLUSIVE, None, "length 15 exceeds the cap 14"),
+])
+def test_equal_verdicts_display_as_one_shared_string(verdict, rank, reason):
+    # a caller that keeps many reports keeps one copy of each verdict text
+    a = criteria_module.Certificate(verdict, rank, reason)
+    b = criteria_module.Certificate(verdict, rank, reason)
+    assert a.display() == b.display() and a.display() is b.display()
 
 
 def test_bound_arithmetic_against_monomial_counts():

@@ -90,9 +90,11 @@ def test_parsed_instance_starts_without_cached_ranks():
     run_criteria(first, "all")
     assert any(m._echelon is not None for m in first.pointset._ev_cache.values())
     inst, _ = parse_instance(text)
-    cached = list(inst.pointset._ev_cache.values())
-    assert cached
-    assert all(m._echelon is None for m in cached)
+    # a parse builds no evaluation matrix; reading T builds ev(A, 8) alone
+    assert not inst.pointset._ev_cache
+    inst.coeff_vector
+    assert list(inst.pointset._ev_cache) == [8]
+    assert inst.pointset._ev_cache[8]._echelon is None
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -182,6 +184,17 @@ def test_check_report_deterministic(tmp_path):
     assert payload == {k: v for k, v in rb.items() if k not in ("digest", "timings")}
     recomputed = sha256_hex(canonical_json(payload).encode("utf-8"))
     assert recomputed == ra["digest"]
+
+
+def test_check_out_file_holds_the_stdout_bytes(tmp_path):
+    out = tmp_path / "r.json"
+    res = subprocess.run(
+        [sys.executable, "-m", "waringcert.cli", "check",
+         str(FIXTURES / "optics_T2.json"), "--out", str(out)],
+        capture_output=True,
+    )
+    assert res.returncode == 0
+    assert out.read_bytes() == res.stdout
 
 
 def test_check_malformed_instance_exit_2(tmp_path):
