@@ -1,6 +1,8 @@
 """Exact certificates of minimality and uniqueness for Waring
 decompositions of ternary forms, over a configurable prime field."""
 
+import sys
+
 __version__ = "0.1.0"
 
 from .ffield import (
@@ -64,53 +66,6 @@ from .generate import (
 )
 from .driver import run_criteria
 
-__all__ = [
-    "DEFAULT_PRIME",
-    "DenseMatrix",
-    "PrimeContext",
-    "is_prime",
-    "GradedPoly",
-    "MonomialBasis",
-    "ParamPoly",
-    "det_poly",
-    "maximal_minors",
-    "monomial_basis",
-    "mult_map",
-    "veronese_vector",
-    "HilbertProfile",
-    "PointSet",
-    "cb_check",
-    "evaluation_matrix",
-    "h1_defect",
-    "hilbert_profile",
-    "ideal_piece",
-    "kruskal_rank",
-    "kruskal_rank_detail",
-    "span_intersection_dim",
-    "Certificate",
-    "Instance",
-    "mo_certify",
-    "range_certify",
-    "ranger_certify",
-    "reshaped_kruskal_certify",
-    "FULL",
-    "PAPER13",
-    "HilbertBurch",
-    "Octic14Report",
-    "ResidualFamily",
-    "certify_octic14",
-    "check_preconditions",
-    "hilbert_burch",
-    "normalization_check",
-    "point_stages",
-    "residual_family",
-    "second_decomposition_system",
-    "unique_quartic",
-    "verify_witness",
-    "GeneratedInstance",
-    "gen_identifiable",
-    "gen_unidentifiable",
-    "random_admissible_pointset",
-    "recover_residual_points",
-    "run_criteria",
-]
+# every name imported above, the submodules aside
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, type(sys))]

@@ -79,9 +79,6 @@ class Instance:
     def __init__(self, pointset: PointSet, degree: int, lam):
         if degree < 1:
             raise ValueError("degree must be positive")
-        if any(isinstance(c, (bool, np.bool_))
-               for c in np.asarray(lam, dtype=object).reshape(-1)):
-            raise TypeError("lambda holds a bool, not an integer")
         lam_arr = as_residues(lam, pointset.ctx.p).reshape(-1)
         if lam_arr.shape[0] != len(pointset):
             raise ValueError("lambda length must equal the number of points")

@@ -93,16 +93,21 @@ def as_residues(entries, p: int) -> np.ndarray:
     """Copy entries into an int64 array reduced mod p.
 
     Integers outside the int64 range are reduced as Python ints first.
-    Anything that is not an integer, a float or complex number included,
-    is refused with TypeError.
+    Anything that is not an integer, a float, complex number or bool
+    included, is refused with TypeError.
     """
     a = np.asarray(entries)
-    if a.dtype.kind in "ib":
+    if a.dtype.kind == "i" and isinstance(entries, np.ndarray):
+        return a.astype(np.int64) % p
+    # np.asarray reads [True, 2] as int64, so bools are looked for one by one
+    objs = np.array(entries, dtype=object)
+    if a.dtype.kind == "b" or any(isinstance(x, (bool, np.bool_)) for x in objs.flat):
+        raise TypeError("entries hold a bool, not an integer")
+    if a.dtype.kind == "i":
         return a.astype(np.int64) % p
     # Python ints past int64 arrive as object or uint64 arrays, or as
     # float64 beside small ints; operator.index refuses true floats
-    return np.array(np.frompyfunc(lambda x: operator.index(x) % p, 1, 1)(
-        np.array(entries, dtype=object)), dtype=np.int64)
+    return np.array(np.frompyfunc(lambda x: operator.index(x) % p, 1, 1)(objs), dtype=np.int64)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

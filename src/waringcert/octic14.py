@@ -30,8 +30,9 @@ Every stage is deterministic; the reduced mode's random specialization
 is seeded from a digest of the instance so reports are reproducible.
 Only the nonzero test of check_preconditions, the decision system and
 the witness check read the coefficients lambda.  The stages from the
-quartic to the residual family read the points alone and are memoised on
-the PointSet object, so a further form over it pays only for its own.
+quartic to the residual family read the points alone and are kept as
+facts of the PointSet object (points.fact), so a further form over it
+pays only for its own.
 The quintics and septics past Q * S are picked in free coordinates.
 """
 
@@ -69,6 +70,7 @@ from .ffield import (
 from .points import (
     PointSet,
     evaluation_matrix,
+    fact,
     hilbert_value,
     ideal_piece,
     kruskal_level,
@@ -230,11 +232,14 @@ def hilbert_burch(A: PointSet) -> HilbertBurch:
     quartic multiples and of the vectors before them (ideal_past_quartic),
     and the columns of M are the canonical kernel basis of the degree-6
     relation map (f, g1..g4) -> f*Q + sum_j g_j * Q_j, so the whole
-    structure is reproducible bit for bit.  Memoised on A; a failure
-    is not, so it is raised again on the next call.
+    structure is reproducible bit for bit.  Kept as the fact
+    ("hilbert_burch",) of A; a failure is not, so it is raised again on
+    the next call.
     """
-    if "hilbert_burch" in A._memo:
-        return A._memo["hilbert_burch"]
+    return fact(A, ("hilbert_burch",), _hilbert_burch, A)
+
+
+def _hilbert_burch(A: PointSet) -> HilbertBurch:
     ctx = A.ctx
     p = ctx.p
     Q = unique_quartic(A)
@@ -260,7 +265,6 @@ def hilbert_burch(A: PointSet) -> HilbertBurch:
     M = tuple(tuple(columns[k][i] for k in range(4)) for i in range(5))
     hb = HilbertBurch(Q, tuple(quintics), M)
     hb.quartic_scale  # expand the 4x4 minor now, so a bad one fails here
-    A._memo["hilbert_burch"] = hb
     return hb
 
 
@@ -308,13 +312,15 @@ def residual_family(hb: HilbertBurch) -> ResidualFamily:
 def point_stages(A: PointSet) -> tuple:
     """(hb, C, family): Hilbert-Burch, the normalization matrix and the
     residual family of A, or None for the family when C has rank below
-    12.  Memoised on A; a stage that raises stores nothing, so the next
-    call raises again."""
-    if "point_stages" not in A._memo:
-        hb = hilbert_burch(A)
-        Cm, crank = normalization_check(hb)
-        A._memo["point_stages"] = (hb, Cm, residual_family(hb) if crank == 12 else None)
-    return A._memo["point_stages"]
+    12.  Kept as the fact ("point_stages",) of A; a stage that raises
+    stores nothing, so the next call raises again."""
+    return fact(A, ("point_stages",), _point_stages, A)
+
+
+def _point_stages(A: PointSet) -> tuple:
+    hb = hilbert_burch(A)
+    Cm, crank = normalization_check(hb)
+    return hb, Cm, residual_family(hb) if crank == 12 else None
 
 
 def system_rows_full(inst: Instance, fam: ResidualFamily) -> np.ndarray:

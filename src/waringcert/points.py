@@ -5,20 +5,26 @@ evaluation matrix ev(Z, j) of the degree-j monomial vectors of the
 points; its kernel is the degree-j piece of the ideal of Z.  The first
 C(j+n, n) columns of ev(Z, D) are ev(Z, j) up to row scaling by
 x0^(D-j) (monomials lex-descending), so one elimination gives h_Z(0..D);
-hilbert_profile shears where x0 meets Z.  hilbert_value reads h_Z(j)
-from an int memo on Z that hilbert_profile, cb_check and passing Kruskal
-levels of size ell feed.  Where x0 vanishes at no point, it reduces
-ev(Z, d0), d0 the least d with ell <= C(d+n, n), as [ev(Z, d0) | I] and
-keeps the right block, the row transform G: G * ev(Z, d0) is the RREF,
-so once h_Z(d0) = ell, RREF(ev(Z, d)) past d0 is G * diag(x0^(d0-d)) *
-ev(Z, d), whose first C(d0+n, n) columns are reduced already.  Also
-here: first differences, the h^1 defect ell(Z) - h_Z(d), Kruskal ranks,
-the Cayley-Bacharach predicate, and intersection dimensions of Veronese
-spans.  kruskal_level alone decides a Kruskal level, memoised per degree
-and subset size (at the column count by one sweep over maximal minors
-on the Laplace tables of polys, below it by subset enumeration); the
-gate at k reads level k, and the one descent runs from kruskal_cap, the
-one definition of min(C(n+d, n), ell), down to a floor.
+hilbert_profile shears where x0 meets Z.  Where x0 vanishes at no point,
+hilbert_value reduces ev(Z, d0), d0 the least d with ell <= C(d+n, n),
+as [ev(Z, d0) | I] and keeps the right block, the row transform G:
+G * ev(Z, d0) is the RREF, so once h_Z(d0) = ell, RREF(ev(Z, d)) past d0
+is G * diag(x0^(d0-d)) * ev(Z, d), whose first C(d0+n, n) columns are
+reduced already.  Also here: first differences, the h^1 defect
+ell(Z) - h_Z(d), Kruskal ranks, the Cayley-Bacharach predicate, and
+intersection dimensions of Veronese spans.  kruskal_level alone decides
+a Kruskal level (at the column count by one sweep over maximal minors on
+the Laplace tables of polys, below it by subset enumeration); the gate
+at k reads level k, and the one descent runs from kruskal_cap, the one
+definition of min(C(n+d, n), ell), down to a floor.
+
+What is computed about a point set is kept on it as facts, in one store
+that fact(Z, key, compute, *args) alone reads and writes.  The keys:
+("ev", d) for ev(Z, d), which keeps its own RREF; ("h", j) for h_Z(j),
+also stored by hilbert_profile, cb_check and a passing Kruskal level of
+size ell; ("level", d, k) for a Kruskal level; ("chart",) for the chart
+of hilbert_profile; ("transform",) for (d0, G, pivots of ev(Z, d0));
+and the octic14 stages ("hilbert_burch",) and ("point_stages",).
 
 Two coordinate tuples are the same projective point iff their
 canonical representatives (first nonzero coordinate scaled to 1) agree;
@@ -75,12 +81,11 @@ class PointSet:
 
     Coordinate representatives are fixed at construction (reduced mod p)
     and the order is meaningful for reporting.  Floats, complex numbers
-    and bools are refused with TypeError.  Evaluation matrices, Hilbert
-    values, Kruskal levels and, in _memo, the chart, row transform and
-    octic14 point stages are memoised on the object, as it is immutable.
+    and bools are refused with TypeError.  As the object is immutable,
+    what is computed about it is kept on it, in _facts (see fact).
     """
 
-    __slots__ = ("ctx", "n", "points", "_ev_cache", "_hilbert", "_kruskal_levels", "_memo")
+    __slots__ = ("ctx", "n", "points", "_facts")
 
     def __init__(self, ctx: PrimeContext, points):
         def residue(c):  # operator.index refuses floats and numpy bools
@@ -104,10 +109,7 @@ class PointSet:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "_ev_cache", {})
-        object.__setattr__(self, "_hilbert", {})
-        object.__setattr__(self, "_kruskal_levels", {})
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_facts", {})
 
     def __setattr__(self, *_):
         raise AttributeError("PointSet is immutable")
@@ -150,23 +152,36 @@ class HilbertProfile:
         return self.differences[j]
 
 
+def fact(Z: PointSet, key: tuple, compute=None, *args):
+    """The fact key of Z (keys in the module docstring): the stored value,
+    else compute(*args), stored unless it raises, or None when absent and
+    no compute is given.  setdefault keeps the first value stored, so
+    threads that compute one fact at once all return the same object."""
+    try:
+        return Z._facts[key]
+    except KeyError:
+        if compute is None:
+            return None
+    return Z._facts.setdefault(key, compute(*args))
+
+
 def evaluation_matrix(Z: PointSet, d: int) -> DenseMatrix:
     """ell(Z) x C(n+d, n) matrix whose row i is the degree-d monomial
     vector of point i.  Its kernel is the degree-d ideal piece of Z."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    cached = Z._ev_cache.get(d)
-    if cached is None:
-        cached = DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, Z.coords_array(), d))
-        Z._ev_cache[d] = cached
-    return cached
+    return fact(Z, ("ev", d), _veronese_matrix, Z, d)
+
+
+def _veronese_matrix(Z: PointSet, d: int) -> DenseMatrix:
+    return DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, Z.coords_array(), d))
 
 
 def ideal_piece(Z: PointSet, d: int) -> list[np.ndarray]:
     """Canonical basis of the degree-d piece of the ideal of Z; past d0, once
     h_Z(d0) = ell, from the row transform G instead of an elimination."""
     ev = evaluation_matrix(Z, d)
-    d0, G, piv = Z._memo.get("transform", (d, None, ()))
+    d0, G, piv = fact(Z, ("transform",)) or (d, None, ())
     if ev._echelon is None and d > d0 and len(piv) == len(Z):
         scale = [pow(q[0], d0 - d, Z.ctx.p) for q in Z.points]
         ev._reduced((matmul_mod(G * scale % Z.ctx.p, ev.a, Z.ctx.p), piv))
@@ -176,40 +191,51 @@ def ideal_piece(Z: PointSet, d: int) -> list[np.ndarray]:
 def _chart(Z: PointSet) -> tuple[int, np.ndarray] | None:
     """(t, coordinates of Z with x0 replaced by L_t = x0 + t*x1 + ... +
     t^n*xn) for the least t at which L_t vanishes at no point, or None
-    if none does (a point is a root of at most n of the L_t); memoised."""
-    if "chart" not in Z._memo:
-        a, p, chart = Z.coords_array(), Z.ctx.p, None
-        for t in range(min(p, Z.n * len(Z) + 1)):
-            lead = matmul_mod(a, np.array([pow(t, k, p) for k in range(Z.n + 1)]), p)
-            if lead.all():
-                a[:, 0] = lead
-                chart = t, a
-                break
-        Z._memo["chart"] = chart
-    return Z._memo["chart"]
+    if none does (a point is a root of at most n of the L_t)."""
+    a, p = Z.coords_array(), Z.ctx.p
+    for t in range(min(p, Z.n * len(Z) + 1)):
+        lead = matmul_mod(a, np.array([pow(t, k, p) for k in range(Z.n + 1)]), p)
+        if lead.all():
+            a[:, 0] = lead
+            return t, a
+    return None
+
+
+def _stored_hilbert(Z: PointSet) -> list[tuple[int, int]]:
+    """(j, h_Z(j)) for each degree stored on Z, read off a copy, as other
+    threads may add."""
+    return [(key[1], h) for key, h in Z._facts.copy().items() if key[0] == "h"]
 
 
 def _reached_ell(Z: PointSet, j: int) -> bool:
-    """Whether the memo has h_Z(i) = ell at some i <= j, so h_Z(j) = ell, as h_Z
-    never drops or passes ell; read off a copy, as other threads may add."""
-    return len(Z) in [h for i, h in Z._hilbert.copy().items() if i <= j]
+    """Whether h_Z(i) = ell is stored for some i <= j, so h_Z(j) = ell, as
+    h_Z never drops or passes ell; one pass over a copy of the store."""
+    return len(Z) in [h for key, h in Z._facts.copy().items() if key[0] == "h" and key[1] <= j]
 
 
 def hilbert_value(Z: PointSet, j: int) -> int:
-    """h_Z(j): from the memo on Z, else ell from a lower degree at ell, else
-    the rank of ev(Z, j), keeping G at d0; the memo keeps the answer."""
-    if j not in Z._hilbert and _reached_ell(Z, j):
-        Z._hilbert[j] = len(Z)
-    elif j not in Z._hilbert:
-        ev = evaluation_matrix(Z, j)
-        # at d0, the least j with ell <= C(j+n, n); a scan, as a check builds no chart
-        if (ev._echelon is None and comb(j + Z.n - 1, Z.n) < len(Z) <= ev.cols
-                and all(q[0] for q in Z.points)):
-            r, piv = row_echelon(np.hstack([ev.a, np.eye(len(Z), dtype=np.int64)]), Z.ctx.p)
-            ev._reduced((r[:, :ev.cols], piv := tuple(piv[:bisect_left(piv, ev.cols)])))
-            Z._memo["transform"] = j, r[:, ev.cols:], piv
-        Z._hilbert[j] = ev.rank()
-    return Z._hilbert[j]
+    """h_Z(j), the fact ("h", j): ell when a lower degree is at ell, else
+    the rank of ev(Z, j), found with the row transform G at d0."""
+    return fact(Z, ("h", j), _hilbert_value, Z, j)
+
+
+def _hilbert_value(Z: PointSet, j: int) -> int:
+    if _reached_ell(Z, j):
+        return len(Z)
+    ev = evaluation_matrix(Z, j)
+    # at d0, the least j with ell <= C(j+n, n); a scan, as a check builds no chart
+    if (ev._echelon is None and comb(j + Z.n - 1, Z.n) < len(Z) <= ev.cols
+            and all(q[0] for q in Z.points)):
+        fact(Z, ("transform",), _row_transform, ev, j)
+    return ev.rank()
+
+
+def _row_transform(ev: DenseMatrix, d0: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """(d0, G, pivots) from one reduction of [ev(Z, d0) | I], which also
+    gives ev(Z, d0) its RREF."""
+    r, piv = row_echelon(np.hstack([ev.a, np.eye(len(ev.a), dtype=np.int64)]), ev.ctx.p)
+    ev._reduced((r[:, :ev.cols], piv := tuple(piv[:bisect_left(piv, ev.cols)])))
+    return d0, r[:, ev.cols:], piv
 
 
 def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
@@ -220,22 +246,22 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
     prefix is the prefix of the RREF, and neither row scaling nor the
     shear changes a rank.  A chart exists whenever n*ell < p; without
     one each degree is read by hilbert_value.  D starts at the least d
-    with C(d+n, n) >= ell, or past every degree the memo has below ell, or
-    at j_max if lower, and doubles up to j_max until h_Z(D) = ell, which
+    with C(d+n, n) >= ell, or past every degree stored below ell, or at
+    j_max if lower, and doubles up to j_max until h_Z(D) = ell, which
     then holds in every higher degree, over any field.  Only the first
-    ev(Z, D) is memoised on Z, and only when unsheared; the Hilbert memo
-    keeps h_Z up to its first degree at ell.
+    ev(Z, D) is stored on Z, and only when unsheared; h_Z is stored up
+    to its first degree at ell.
     """
     if not 0 <= j_max <= MAX_EVALUATION_ENTRIES:
         raise ValueError(f"j_max must be in 0..{MAX_EVALUATION_ENTRIES}")
-    ell, n, chart = len(Z), Z.n, _chart(Z)
+    ell, n, chart = len(Z), Z.n, fact(Z, ("chart",), _chart, Z)
     if chart is None:
         values = []
         for j in range(j_max + 1):
             values.append(ell if values and values[-1] == ell else hilbert_value(Z, j))
     else:
         t, a = chart
-        below = [j + 1 for j, h in Z._hilbert.copy().items() if h < ell]
+        below = [j + 1 for j, h in _stored_hilbert(Z) if h < ell]
         D = min(j_max, max([next(d for d in count() if comb(d + n, n) >= ell), *below]))
         ev = (evaluation_matrix(Z, D) if t == 0
               else DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, a, D)))
@@ -244,7 +270,8 @@ def hilbert_profile(Z: PointSet, j_max: int) -> HilbertProfile:
             ev = DenseMatrix(Z.ctx, _veronese_rows(Z.ctx, a, D))
         values = [bisect_left(piv, comb(j + n, n)) if j <= D else ell
                   for j in range(j_max + 1)]
-    Z._hilbert.update(enumerate(values[:bisect_left(values, ell) + 1]))
+    for j, h in enumerate(values[:bisect_left(values, ell) + 1]):
+        fact(Z, ("h", j), int, h)
     diffs = [values[0]] + [values[j] - values[j - 1] for j in range(1, j_max + 1)]
     return HilbertProfile(tuple(values), tuple(diffs))
 
@@ -338,19 +365,20 @@ def kruskal_level(Z: PointSet, d: int, k: int) -> tuple[int, tuple[int, ...] | N
     """(k-subsets examined, first dependent k-subset or None) for the
     degree-d Veronese images of Z, for 1 <= k <= min(C(n+d, n), ell).
 
-    The record is memoised on Z per (d, k), so every Kruskal query that
-    reads it again eliminates nothing.  A passing level of size ell
-    records h_Z(d) = ell, but no level reads the Hilbert memo.
+    The record is the fact ("level", d, k) of Z, so every Kruskal query
+    that reads it again eliminates nothing.  A passing level of size ell
+    stores h_Z(d) = ell, but no level reads a Hilbert value.
     """
-    record = Z._kruskal_levels.get((d, k))
-    if record is None:
-        cap = kruskal_cap(Z, d)
-        if not 1 <= k <= cap:
-            raise ValueError(f"subset size {k} is outside 1..{cap}")
-        record = _first_dependent_subset(evaluation_matrix(Z, d).a, Z.ctx.p, k)
-        Z._kruskal_levels[(d, k)] = record
-        if k == len(Z) and record[1] is None:
-            Z._hilbert[d] = k
+    return fact(Z, ("level", d, k), _kruskal_level, Z, d, k)
+
+
+def _kruskal_level(Z: PointSet, d: int, k: int) -> tuple[int, tuple[int, ...] | None]:
+    cap = kruskal_cap(Z, d)
+    if not 1 <= k <= cap:
+        raise ValueError(f"subset size {k} is outside 1..{cap}")
+    record = _first_dependent_subset(evaluation_matrix(Z, d).a, Z.ctx.p, k)
+    if k == len(Z) and record[1] is None:
+        fact(Z, ("h", d), len, Z)
     return record
 
 
@@ -389,7 +417,7 @@ def cb_check(Z: PointSet, d: int) -> bool:
     Equivalently h_{Z minus P}(d) == h_Z(d) for every P, which holds iff
     some linear dependency among the rows of ev(Z, d) involves P: so iff
     no column of a basis of the left kernel is zero.  Independent rows
-    (h_Z(d) = ell, perhaps known to the memo) have no dependency and fail.
+    (h_Z(d) = ell, perhaps stored already) have no dependency and fail.
     At d <= d0 the rows of G past h_Z(d) are a basis once column i is
     scaled by x0_i^(d0-d), which zeroes no column.
     """
@@ -397,10 +425,10 @@ def cb_check(Z: PointSet, d: int) -> bool:
         raise ValueError("Cayley-Bacharach needs at least two points")
     if _reached_ell(Z, d):
         return False
-    d0, G, piv = Z._memo.get("transform", (-1, None, ()))
+    d0, G, piv = fact(Z, ("transform",)) or (-1, None, ())
     deps = (G[bisect_left(piv, comb(d + Z.n, Z.n)):] if d <= d0
             else np.array(kernel_mod(evaluation_matrix(Z, d).a.T, Z.ctx.p)))
-    Z._hilbert[d] = len(Z) - len(deps)
+    fact(Z, ("h", d), int, len(Z) - len(deps))
     return bool(len(deps)) and bool(np.all(np.any(deps != 0, axis=0)))
 
 

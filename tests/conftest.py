@@ -32,6 +32,12 @@ def fixture_instance(name: str) -> Instance:
     return load_instance(FIXTURES / f"{name}.json")[0]
 
 
+def fact_degrees(ps: PointSet, kind: str) -> list[int]:
+    """The degrees d of the facts (kind, d) stored on ps, ascending: the
+    evaluation matrices ("ev") or Hilbert values ("h") computed so far."""
+    return sorted(key[1] for key in ps._facts if key[0] == kind)
+
+
 def six_point_sets() -> dict[str, PointSet]:
     """Six plane points in general position, on a conic, five on a line."""
     return {key: fixture_instance(f"six_{key}").pointset

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from waringcert import (
+    DenseMatrix,
+    GradedPoly,
     Instance,
     PointSet,
     PrimeContext,
@@ -20,14 +22,16 @@ from waringcert import (
     ranger_certify,
     reshaped_kruskal_certify,
     run_criteria,
+    veronese_vector,
 )
 from waringcert import criteria as criteria_module
+from waringcert import octic14 as octic14_module
 from waringcert import points as points_module
 from waringcert.criteria import admissible_splits, check_nonredundant
 from waringcert.errors import BadSplit, NotConcise, RedundancyDetected
 from waringcert.storage import canonical_json, instance_to_obj, parse_instance
 
-from conftest import fixture_instance, random_instance, random_pointset
+from conftest import fact_degrees, fixture_instance, random_instance, random_pointset
 
 
 def test_admissible_splits_order():
@@ -85,7 +89,7 @@ def test_mo_builds_no_evaluation_matrix_in_the_form_degree(ctx):
     # 20 points of P^3 at d = 9: mo reads h_A up to 4, never the 20 x 220 ev(A, 9)
     inst = random_instance(ctx, np.random.default_rng(0), 20, 9, n=3)
     assert mo_certify(inst).display() == "IdentifiableOfRank(20)"
-    assert 9 not in inst.pointset._ev_cache
+    assert 9 not in fact_degrees(inst.pointset, "ev")
 
 
 def test_precondition_3_stop_reads_no_octic():
@@ -95,12 +99,49 @@ def test_precondition_3_stop_reads_no_octic():
     inst, _ = parse_instance(canonical_json(instance_to_obj(gen.instance, {})))
     _, results = run_criteria(inst, "all")
     assert dict(results)["octic14"].reason.startswith("k_3(A) < 10")
-    assert sorted(inst.pointset._ev_cache) == [3, 4]
+    assert fact_degrees(inst.pointset, "ev") == [3, 4]
 
 
 def test_gen_identifiable_builds_no_octic():
     inst = gen_identifiable(0).instance
-    assert sorted(inst.pointset._ev_cache) == [3, 4, 5]
+    assert fact_degrees(inst.pointset, "ev") == [3, 4, 5]
+
+
+# What a cold check computed, as the fact keys it leaves on the point set.
+OCTIC_FACTS = {("ev", 3), ("ev", 4), ("ev", 5), ("ev", 8), ("h", 4), ("h", 8),
+               ("level", 3, 10), ("transform",), ("hilbert_burch",), ("point_stages",)}
+
+
+def rational_101(seed):
+    """A fresh parse of the p = 101 rational-residual octic of this seed."""
+    gen = gen_unidentifiable(seed, 101, rational_residual=True)
+    return parse_instance(canonical_json(instance_to_obj(gen.instance, {})))[0]
+
+
+@pytest.mark.parametrize("name, facts", [
+    ("optics_T1", OCTIC_FACTS),
+    ("optics_T2", OCTIC_FACTS),
+    ("six_general", {("ev", 1), ("ev", 2), ("h", 1), ("h", 2)}),
+    # stops at precondition 3, so G is built at d0 = 4 and read by no stage
+    ("rational_101_seed0", {("ev", 3), ("ev", 4), ("h", 4), ("h", 8), ("level", 3, 10),
+                            ("transform",)}),
+])
+def test_cold_check_leaves_exactly_these_facts(name, facts):
+    inst = rational_101(0) if name == "rational_101_seed0" else fixture_instance(name)
+    run_criteria(inst, "all")
+    assert inst.pointset._facts.keys() == facts
+
+
+def test_cold_check_where_hilbert_burch_raises_keeps_no_stage(monkeypatch):
+    # a syzygy kernel of the wrong dimension fails Hilbert-Burch once the
+    # preconditions have passed: neither stage is stored, nor is ev(A, 8),
+    # as the system that reads T is never reached
+    monkeypatch.setattr(octic14_module, "kernel_mod", lambda a, p: [])
+    inst = fixture_instance("optics_T1")
+    _, results = run_criteria(inst, "all")
+    assert dict(results)["octic14"].reason.startswith("SyzygyDimension")
+    assert inst.pointset._facts.keys() == OCTIC_FACTS - {
+        ("hilbert_burch",), ("point_stages",), ("ev", 8)}
 
 
 @pytest.mark.parametrize("lam", [
@@ -109,9 +150,13 @@ def test_gen_identifiable_builds_no_octic():
     np.array([True, True, False]),
 ])
 def test_instance_refuses_bool_coefficients(ctx, lam):
+    # as do matrix entries, form coefficients and an evaluation point
     ps = PointSet(ctx, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    with pytest.raises(TypeError, match="bool"):
-        Instance(ps, 2, lam)
+    for read in (lambda: Instance(ps, 2, lam), lambda: DenseMatrix(ctx, [lam]),
+                 lambda: GradedPoly(ctx, monomial_basis(2, 1), lam),
+                 lambda: veronese_vector(ctx, lam, 2)):
+        with pytest.raises(TypeError, match="bool"):
+            read()
 
 
 # --------------------------------------------------------------- reshaped bound

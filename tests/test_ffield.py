@@ -462,7 +462,7 @@ def test_cold_t1_check_reduces_ev4_once(monkeypatch):
     assert cert.display() == "IdentifiableOfRank(14)"
     # one reduction of [ev(A, 4) | I] gives ev(A, 4) its RREF and keeps the
     # row transform that ev(A, 5) and the Cayley-Bacharach test read later
-    ev4 = inst.pointset._ev_cache[4].a
+    ev4 = inst.pointset._facts[("ev", 4)].a
     assert ev4.shape == (14, 15) and not any(a is ev4 for a in seen)
     stacked = [a for a in seen if np.shape(a) == (14, 29)]
     assert len(stacked) == 1

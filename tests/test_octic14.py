@@ -115,7 +115,7 @@ def test_preconditions_leave_ev8_unreduced():
     # h_A(4) = 14 already fixes rank(ev(A,8)) = 14, so it is not computed
     inst = fixture_instance("optics_T1")
     assert dict(check_preconditions(inst))["rank_ev8"] == 14
-    ev8 = inst.pointset._ev_cache.get(8)
+    ev8 = inst.pointset._facts.get(("ev", 8))
     assert ev8 is None or ev8._echelon is None
 
 
@@ -533,7 +533,7 @@ def test_failed_stage_is_not_memoised(ctx):
             hilbert_burch(ps)
         with pytest.raises(QuarticNotUnique):
             point_stages(ps)
-    assert not {"hilbert_burch", "point_stages"} & ps._memo.keys()
+    assert not {("hilbert_burch",), ("point_stages",)} & ps._facts.keys()
 
 
 # ------------------------------- shortcuts against the direct constructions

@@ -34,7 +34,7 @@ from waringcert.points import (MAX_EVALUATION_ENTRIES, hilbert_value, kruskal_le
                                kruskal_rank_at_least,
                                projectively_equal)
 
-from conftest import fixture_instance, random_pointset, six_point_sets
+from conftest import fact_degrees, fixture_instance, random_pointset, six_point_sets
 from test_ffield import oracle_kernel, oracle_rank, oracle_rref
 
 
@@ -311,7 +311,7 @@ def test_profile_memoises_only_the_first_degree_it_tries(ctx):
     # is read once, so only ev(Z, 7) and its echelon form stay on Z
     z = line_points(ctx, range(30))
     assert hilbert_profile(z, 30).values == tuple(min(j + 1, 30) for j in range(31))
-    assert sorted(z._ev_cache) == [7]
+    assert fact_degrees(z, "ev") == [7]
 
 
 def test_profile_refuses_degrees_past_the_evaluation_bound(ref_points):
@@ -396,7 +396,7 @@ def test_row_transform_agrees_with_elimination(p, n, seed, x0_zero):
     ell = len(z)
     d0 = next(d for d in range(ell + 1) if comb(d + n, n) >= ell)
     assert hilbert_value(z, d0) == oracle_rank(plain_ev(z.points, d0, n, p), p)
-    transform = z._memo.get("transform")
+    transform = points_module.fact(z, ("transform",))
     assert (transform is not None) == all(q[0] for q in z.points)
     assert transform is None or transform[0] == d0
     for d in range(d0 + 3):
@@ -485,8 +485,8 @@ def test_profile_memo_stops_at_the_first_degree_at_ell(case):
     assert (points_module._chart(z) is None) == (case == "chartless")
     values = hilbert_profile(z, MAX_EVALUATION_ENTRIES).values
     first = values.index(len(z))
-    assert len(z._hilbert) <= first + 1
-    assert all(z._hilbert[j] == values[j] for j in z._hilbert)
+    assert len(fact_degrees(z, "h")) <= first + 1
+    assert all(z._facts[("h", j)] == values[j] for j in fact_degrees(z, "h"))
 
 
 def test_hilbert_memo_is_shared_safely_across_threads(ctx):

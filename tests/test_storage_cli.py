@@ -1,12 +1,14 @@
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from waringcert import storage
+from waringcert import cli, storage
 from waringcert.errors import InstanceFormatError
 from waringcert.storage import (
     canonical_json,
@@ -25,10 +27,21 @@ T2_SHA256 = "2c6828a19a572bea7a1775def3b1bb92ffad7ae5c42888204317f0da07543c48"
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "waringcert.cli", *args],
-        capture_output=True, text=True,
-    )
+    """cli.main(args) run in-process, its stdout, stderr and SystemExit code
+    caught as a finished process would report them."""
+    out, err, code = io.StringIO(), io.StringIO(), None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.main(list(args))
+        except SystemExit as e:
+            code = e.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args):
+    """The same command in a fresh Python process."""
+    return subprocess.run([sys.executable, "-m", "waringcert.cli", *args],
+                          capture_output=True, text=True)
 
 
 # --------------------------------------------------------------------- storage
@@ -88,13 +101,14 @@ def test_parsed_instance_starts_without_cached_ranks():
     text = (FIXTURES / "optics_T1.json").read_text()
     first, _ = parse_instance(text)
     run_criteria(first, "all")
-    assert any(m._echelon is not None for m in first.pointset._ev_cache.values())
+    assert any(value._echelon is not None for (kind, *_), value
+               in first.pointset._facts.items() if kind == "ev")
     inst, _ = parse_instance(text)
-    # a parse builds no evaluation matrix; reading T builds ev(A, 8) alone
-    assert not inst.pointset._ev_cache
+    # a parse computes nothing; reading T builds ev(A, 8) alone
+    assert not inst.pointset._facts
     inst.coeff_vector
-    assert list(inst.pointset._ev_cache) == [8]
-    assert inst.pointset._ev_cache[8]._echelon is None
+    assert list(inst.pointset._facts) == [("ev", 8)]
+    assert inst.pointset._facts[("ev", 8)]._echelon is None
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -176,8 +190,9 @@ def test_check_unidentifiable_has_witness_evidence():
 
 
 def test_check_report_deterministic(tmp_path):
-    a = run_cli("check", str(FIXTURES / "optics_T1.json"))
-    b = run_cli("check", str(FIXTURES / "optics_T1.json"))
+    # two fresh processes, so no memo or hash seed is shared
+    a = run_process("check", str(FIXTURES / "optics_T1.json"))
+    b = run_process("check", str(FIXTURES / "optics_T1.json"))
     ra, rb = json.loads(a.stdout), json.loads(b.stdout)
     assert ra["digest"] == rb["digest"]
     payload = {k: v for k, v in ra.items() if k not in ("digest", "timings")}
@@ -242,8 +257,8 @@ def test_gen_roundtrip_through_check(tmp_path):
 
 
 def test_gen_deterministic_bytes(tmp_path):
-    a = run_cli("gen", "identifiable", "--seed", "9")
-    b = run_cli("gen", "identifiable", "--seed", "9")
+    a = run_process("gen", "identifiable", "--seed", "9")
+    b = run_process("gen", "identifiable", "--seed", "9")
     assert a.stdout == b.stdout and a.returncode == 0
 
 
