@@ -351,7 +351,7 @@ def _gen_unidentifiable_rational(seed: int, prime: int) -> GeneratedInstance:
         # I_A(7) splits as Q*S_3 plus twelve septics comp; Q*S_3 vanishes on
         # the curve, so a septic through A and candidates F is Q*h + k*comp
         # with E[F] k = 0, and the new septic is k*comp.
-        comp = np.array(ideal_past_quartic(ps, Q, 7))
+        comp = np.array(ideal_past_quartic(ps, fam.base.q, 7))
         if len(comp) != 12:
             raise RuntimeError(f"I_A(7) has {len(comp)} septics beyond Q*S_3, expected 12")
         E = matmul_mod(_veronese_rows(ctx, candidates, 7), comp.T, p)
@@ -424,11 +424,7 @@ def _parameters_for_points(fam: ResidualFamily, bset: PointSet) -> np.ndarray | 
     decomposition leaves exactly a one-dimensional kernel.
     """
     p = bset.ctx.p
-    v5 = evaluation_matrix(bset, 5).a  # 14 x 21
-    rows = []
-    for pm in fam.param_minors:
-        rows.append(matmul_mod(v5, pm.mat, p))
-    system = np.vstack(rows)  # 56 x 12
+    system = fam.paired(evaluation_matrix(bset, 5).a)  # 56 x 12
     kern = kernel_mod(system, p)
     if len(kern) != 1:
         return None

@@ -26,6 +26,16 @@ Stages, in pipeline order:
   verify_witness         dimension and orthogonality checks on a candidate
   certify_octic14        the orchestrated certificate
 
+The stages take and return int64 coefficient arrays reduced mod p: the
+quartic, the quintics and the 4x18 syzygy kernel (HilbertBurch), the
+21x4x12 minors (ResidualFamily) and the system (Octic14Report).  The
+eight cubic cofactors are one polys._minors call over a leading axis of
+2; C, the minors, the system rows and the cubic multiples are each one
+polys._mult_maps call or one matmul.  GradedPoly, ParamPoly and
+DenseMatrix are built on first read of HilbertBurch.Q, .quintics and .M,
+ResidualFamily.param_minors and Octic14Report.system_matrix, by callers
+outside the stages; C alone is a DenseMatrix, which keeps its rank.
+
 Every stage is deterministic; the reduced mode's random specialization
 is seeded from a digest of the instance so reports are reproducible.
 Only the nonzero test of check_preconditions, the decision system and
@@ -44,46 +54,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .criteria import (
-    Certificate,
-    DEGENERATE,
-    IDENTIFIABLE,
-    Instance,
-    NOT_IDENTIFIABLE,
-)
-from .errors import (
-    MinorDegenerate,
-    PreconditionFailed,
-    QuarticNotUnique,
-    SelectionFailed,
-    SyzygyDimension,
-    WitnessRejected,
-)
-from .ffield import (
-    DenseMatrix,
-    kernel_mod,
-    matmul_mod,
-    normalize_projective,
-    rank_mod,
-    row_echelon,
-)
-from .points import (
-    PointSet,
-    evaluation_matrix,
-    fact,
-    hilbert_value,
-    ideal_piece,
-    kruskal_level,
-    kruskal_rank_detail,
-)
-from .polys import (
-    GradedPoly,
-    ParamPoly,
-    maximal_minors,
-    monomial_basis,
-    mult_map,
-    product_table,
-)
+from .criteria import DEGENERATE, IDENTIFIABLE, NOT_IDENTIFIABLE, Certificate, Instance
+from .errors import (MinorDegenerate, PreconditionFailed, QuarticNotUnique, SelectionFailed,
+                     SyzygyDimension, WitnessRejected)
+from .ffield import (DenseMatrix, PrimeContext, _kernel_from_echelon, as_residues, kernel_mod,
+                     matmul_mod, normalize_projective, rank_mod, row_echelon)
+from .points import (PointSet, evaluation_matrix, fact, hilbert_value, ideal_piece, kruskal_level,
+                     kruskal_rank_detail)
+from .polys import (GradedPoly, ParamPoly, _minors, _mult_maps, _row_products, monomial_basis,
+                    product_table)
 
 FULL = "full"
 PAPER13 = "paper13"
@@ -93,59 +72,114 @@ N_PARAMS = 12
 SELECTION_RETRIES = 8
 
 
+def _forms(ctx: PrimeContext, d: int, coeffs: np.ndarray) -> tuple[GradedPoly, ...]:
+    """One plane form of degree d per row of coeffs."""
+    return tuple(GradedPoly(ctx, monomial_basis(2, d), v) for v in coeffs)
+
+
 @dataclass(frozen=True)
 class HilbertBurch:
-    """Ideal generators of the point set and their first syzygies.
+    """Ideal generators of the point set and their first syzygies, as
+    read-only coefficient arrays.
 
-    Q is the unique quartic (monic in the leading coefficient), the four
-    quintics complete the ideal generators, and M is the 5x4 syzygy
-    matrix: one conic row on top of four rows of linear forms, one
-    column per syzygy of (Q, quintics) in degree 6.
+    q is the unique quartic Q (first nonzero coefficient 1), the rows of g
+    the four quintics that complete the ideal generators, and row k of syz
+    column k of the 5x4 syzygy matrix M: the conic of its top row, then
+    the linear forms of its four lower rows.  Q, quintics and M are the
+    same as GradedPoly, built on first read.
     """
 
-    Q: GradedPoly
-    quintics: tuple[GradedPoly, GradedPoly, GradedPoly, GradedPoly]
-    M: tuple[tuple[GradedPoly, ...], ...]
+    ctx: PrimeContext
+    q: np.ndarray  # 15
+    g: np.ndarray  # 4 x 21
+    syz: np.ndarray  # 4 x (6 + 4 * 3)
+
+    def __post_init__(self):
+        for a in (self.q, self.g, self.syz):
+            a.setflags(write=False)
 
     @cached_property
-    def cofactors(self) -> tuple[list[GradedPoly], list[GradedPoly]]:
-        """The cubic minors of M[1:] less its second and less its fourth row;
-        entry j omits column j, as maximal_minors keys in combinations() order."""
-        return tuple(list(maximal_minors([list(row) for i, row in enumerate(self.M[1:])
-                                          if i != k]).values())[::-1] for k in (1, 3))
+    def Q(self) -> GradedPoly:
+        return _forms(self.ctx, 4, [self.q])[0]
+
+    @cached_property
+    def quintics(self) -> tuple[GradedPoly, ...]:
+        return _forms(self.ctx, 5, self.g)
+
+    @cached_property
+    def M(self) -> tuple[tuple[GradedPoly, ...], ...]:
+        return (_forms(self.ctx, 2, self.syz[:, :6]),
+                *(_forms(self.ctx, 1, row) for row in self.lower))
+
+    @property
+    def lower(self) -> np.ndarray:
+        """4 x 4 x 3: entry [i, k] is the linear form M[1 + i][k]."""
+        return self.syz[:, 6:].reshape(4, 4, 3).swapaxes(0, 1)
+
+    @cached_property
+    def cofactors(self) -> np.ndarray:
+        """2 x 4 x 10: the cubic minors of M[1:] less its second and less its
+        fourth row; entry [r, j] omits column j, as _minors runs in
+        combinations() order."""
+        rows = self.lower[[[0, 2, 3], [0, 1, 2]]].swapaxes(0, 1)
+        return _minors(2, (1, 1, 1), rows, self.ctx.p)[:, ::-1]
 
     @cached_property
     def quartic_scale(self) -> int:
         """The nonzero scalar mu with det(lower block) = mu * Q, expanded along
         its second row; raises MinorDegenerate when it is no such multiple."""
-        t = [(L * c).coeffs for L, c in zip(self.M[2], self.cofactors[0])]
-        return _proportionality(
-            GradedPoly(self.Q.ctx, self.Q.basis, t[1] + t[3] - t[0] - t[2]), self.Q,
-            "the 4x4 linear minor of M is not a nonzero multiple of the quartic")
+        p = self.ctx.p
+        t = _row_products(2, 1, 3, self.lower[1], self.cofactors[0], p)
+        return _proportionality((t[1] + t[3] - t[0] - t[2]) % p, self.q, p,
+                                "the 4x4 linear minor of M is not a nonzero multiple of the quartic")
 
 
 @dataclass(frozen=True)
 class ResidualFamily:
     """The 12-parameter family of candidate second decompositions.
 
-    The four param_minors are the quintic minors of the family's syzygy
-    matrix, each exactly linear in the parameters (the conic row is
-    (0, q2(a1..a6), 0, q4(a7..a12))).
+    minors[:, j] (21 x 12, read-only) is quintic minor j of the family's
+    syzygy matrix, exactly linear in the parameters (the conic row is
+    (0, q2(a1..a6), 0, q4(a7..a12))): column t multiplies parameter t.
+    param_minors are the four as ParamPoly, built on first read.
     """
 
     base: HilbertBurch
-    param_minors: tuple[ParamPoly, ParamPoly, ParamPoly, ParamPoly]
+    minors: np.ndarray  # 21 x 4 x 12
+
+    def __post_init__(self):
+        self.minors.setflags(write=False)
+
+    @cached_property
+    def param_minors(self) -> tuple[ParamPoly, ...]:
+        return tuple(ParamPoly(self.base.ctx, monomial_basis(2, 5), self.minors[:, j])
+                     for j in range(4))
+
+    def specialized(self, avec: np.ndarray) -> np.ndarray:
+        """4 x 21: the minors at the residue vector avec."""
+        return matmul_mod(self.minors, avec, self.base.ctx.p).T
+
+    def paired(self, x: np.ndarray) -> np.ndarray:
+        """(4 r) x 12 for r x 21 rows x: row (j, i) is a -> dot(x[i], minor j)."""
+        out = matmul_mod(x, self.minors.reshape(21, 48), self.base.ctx.p)
+        return out.reshape(-1, 4, 12).swapaxes(0, 1).reshape(-1, 12)
 
 
 @dataclass(frozen=True)
 class Octic14Report:
-    """Everything the linear-system stage computed."""
+    """Everything the linear-system stage computed; system_matrix wraps
+    the system on first read."""
 
+    ctx: PrimeContext
     mode: str
-    system_matrix: DenseMatrix
+    system: np.ndarray
     system_rank: int
     selected_columns: tuple[int, ...] | None = None
     witness: np.ndarray | None = None
+
+    @cached_property
+    def system_matrix(self) -> DenseMatrix:
+        return DenseMatrix(self.ctx, self.system)
 
 
 def octic14_shape(inst: Instance) -> bool:
@@ -160,10 +194,8 @@ def check_preconditions(inst: Instance) -> tuple:
     k_3(A) >= 10, so its failure value is the first dependent subset in
     combinations order, not the exact k_3."""
     if not octic14_shape(inst):
-        raise ValueError(
-            "pipeline needs 14 points in the projective plane and degree 8, "
-            f"got n={inst.pointset.n}, d={inst.degree}, ell={inst.length}"
-        )
+        raise ValueError("pipeline needs 14 points in the projective plane and degree 8, "
+                         f"got n={inst.pointset.n}, d={inst.degree}, ell={inst.length}")
     A = inst.pointset
     h4 = hilbert_value(A, 4)
     r8 = hilbert_value(A, 8)  # 14 without eliminating once h_A(4) = 14
@@ -181,46 +213,38 @@ def check_preconditions(inst: Instance) -> tuple:
         raise PreconditionFailed(
             3, subset, f"k_3(A) < 10: the 10-subset {subset} is "
                        f"dependent (subset {examined} in combinations order)")
-    return (
-        ("rank_ev8", r8),
-        ("lambda_nonzero", True),
-        ("hilbert_4", h4),
-        ("kruskal_3", k3),
-        ("kruskal_3_subsets", examined),
-    )
+    return (("rank_ev8", r8), ("lambda_nonzero", True), ("hilbert_4", h4),
+            ("kruskal_3", k3), ("kruskal_3_subsets", examined))
 
 
-def unique_quartic(A: PointSet) -> GradedPoly:
-    """The quartic spanning the degree-4 ideal piece, scaled so its first
-    nonzero coefficient is 1."""
+def unique_quartic(A: PointSet) -> np.ndarray:
+    """The coefficients of the quartic spanning the degree-4 ideal piece,
+    scaled so the first nonzero one is 1."""
     kern = ideal_piece(A, 4)
     if len(kern) != 1:
-        raise QuarticNotUnique(
-            f"degree-4 ideal piece has dimension {len(kern)}, expected 1"
-        )
-    coeffs = normalize_projective(kern[0], A.ctx.p)
-    return GradedPoly(A.ctx, monomial_basis(2, 4), coeffs)
+        raise QuarticNotUnique(f"degree-4 ideal piece has dimension {len(kern)}, expected 1")
+    return normalize_projective(kern[0], A.ctx.p)
 
 
-def _proportionality(f: GradedPoly, g: GradedPoly, error: str) -> int:
+def _proportionality(f: np.ndarray, g: np.ndarray, p: int, error: str) -> int:
     """The scalar mu with f = mu * g; raises MinorDegenerate otherwise."""
-    p = f.ctx.p
-    nz = np.nonzero(g.coeffs)[0]
-    if nz.size == 0 or f.is_zero():
+    nz = np.nonzero(g)[0]
+    if nz.size == 0 or not np.any(f):
         raise MinorDegenerate(error)
-    mu = int(f.coeffs[nz[0]]) * pow(int(g.coeffs[nz[0]]), p - 2, p) % p
-    if mu == 0 or not np.all((f.coeffs - mu * g.coeffs) % p == 0):
+    mu = int(f[nz[0]]) * pow(int(g[nz[0]]), p - 2, p) % p
+    if mu == 0 or not np.all((f - mu * g) % p == 0):
         raise MinorDegenerate(error)
     return mu
 
 
-def ideal_past_quartic(A: PointSet, Q: GradedPoly, d: int) -> list[np.ndarray]:
+def ideal_past_quartic(A: PointSet, q: np.ndarray, d: int) -> list[np.ndarray]:
     """The canonical kernel vectors of ev(A, d) independent of Q * S_{d-4}
-    (Q a quartic through A) and of those before them: in the free coordinates
-    vector j falls out iff a form of Q * S_{d-4} ends at j, a reversed pivot."""
+    (q the coefficients of a quartic Q through A) and of those before them:
+    in the free coordinates vector j falls out iff a form of Q * S_{d-4}
+    ends at j, a reversed pivot."""
     ker = ideal_piece(A, d)
     free = [int(np.flatnonzero(v)[-1]) for v in ker]  # later columns are pivots
-    _, reversed_pivots = row_echelon(mult_map(Q, d)[free].T[:, ::-1], A.ctx.p)
+    _, reversed_pivots = row_echelon(_mult_maps(2, 4, d - 4, q)[free].T[:, ::-1], A.ctx.p)
     return [v for j, v in enumerate(ker) if len(free) - 1 - j not in reversed_pivots]
 
 
@@ -240,30 +264,17 @@ def hilbert_burch(A: PointSet) -> HilbertBurch:
 
 
 def _hilbert_burch(A: PointSet) -> HilbertBurch:
-    ctx = A.ctx
-    p = ctx.p
-    Q = unique_quartic(A)
-    past = ideal_past_quartic(A, Q, 5)
+    q = unique_quartic(A)
+    past = ideal_past_quartic(A, q, 5)
     if len(past) < 4:
         # x0*Q, x1*Q and x2*Q are independent, so they add three dimensions
-        raise SyzygyDimension(
-            f"degree-5 ideal piece spans only {3 + len(past)} dimensions with the "
-            "quartic multiples, expected 7"
-        )
-    quintics = [GradedPoly(ctx, monomial_basis(2, 5), v) for v in past[:4]]
-    phi = np.hstack([mult_map(Q, 6)] + [mult_map(q, 6) for q in quintics])
-    syz = kernel_mod(phi, p)
+        raise SyzygyDimension(f"degree-5 ideal piece spans only {3 + len(past)} dimensions "
+                              "with the quartic multiples, expected 7")
+    g = np.array(past[:4])
+    syz = kernel_mod(np.hstack([_mult_maps(2, 4, 2, q), *_mult_maps(2, 5, 1, g)]), A.ctx.p)
     if len(syz) != 4:
         raise SyzygyDimension(f"syzygy kernel has dimension {len(syz)}, expected 4")
-    conic_basis = monomial_basis(2, 2)
-    lin_basis = monomial_basis(2, 1)
-    columns = []
-    for v in syz:
-        conic = GradedPoly(ctx, conic_basis, v[:6])
-        lins = [GradedPoly(ctx, lin_basis, v[6 + 3 * j:9 + 3 * j]) for j in range(4)]
-        columns.append((conic, *lins))
-    M = tuple(tuple(columns[k][i] for k in range(4)) for i in range(5))
-    hb = HilbertBurch(Q, tuple(quintics), M)
+    hb = HilbertBurch(A.ctx, q, g, np.array(syz))
     hb.quartic_scale  # expand the 4x4 minor now, so a bad one fails here
     return hb
 
@@ -276,13 +287,10 @@ def normalization_check(hb: HilbertBurch) -> tuple[DenseMatrix, int]:
     unknowns are the 12 coefficients of the four multiplier linear
     forms, the equations the 6+6 conic coefficients.  Full rank 12
     certifies that fixing those two conics to zero loses no family
-    member.
+    member.  Block (r, k) of C is mult_map(M[1 + 2r][k], 2).
     """
-    ctx = hb.Q.ctx
-    row1 = [mult_map(L, 2) for L in hb.M[1]]
-    row3 = [mult_map(L, 2) for L in hb.M[3]]
-    C = np.vstack([np.hstack(row1), np.hstack(row3)])
-    Cm = DenseMatrix(ctx, C)
+    maps = _mult_maps(2, 1, 1, hb.lower[[0, 2]])  # 2 x 4 x 6 x 3
+    Cm = DenseMatrix(hb.ctx, maps.swapaxes(1, 2).reshape(12, 12))
     return Cm, Cm.rank()
 
 
@@ -295,7 +303,6 @@ def residual_family(hb: HilbertBurch) -> ResidualFamily:
     the conic row leaves numeric cubic cofactors, so the minors are
     exactly linear in the parameters.
     """
-    ctx = hb.Q.ctx
     # MinorDegenerate unless det(M[1:]) = mu * Q with mu != 0, so neither
     # row of cofactors below vanishes: det(M[1:]) expands along each
     hb.quartic_scale
@@ -303,10 +310,8 @@ def residual_family(hb: HilbertBurch) -> ResidualFamily:
     # the minor of the lower block without row k and column j, so along
     # the conic row (0, q2, 0, q4) minor j is -q2 * C_j1 - q4 * C_j3;
     # q * C is linear in the six coefficients of q through mult_map(C, 5).
-    minors = [ParamPoly(ctx, monomial_basis(2, 5),
-                        -np.hstack([mult_map(cof[j], 5) for cof in hb.cofactors]))
-              for j in range(4)]
-    return ResidualFamily(hb, tuple(minors))
+    maps = _mult_maps(2, 3, 2, hb.cofactors)  # [r, j] is mult_map(C_j(2r+1), 5)
+    return ResidualFamily(hb, -maps.transpose(2, 1, 0, 3).reshape(21, 4, 12) % hb.ctx.p)
 
 
 def point_stages(A: PointSet) -> tuple:
@@ -331,25 +336,21 @@ def system_rows_full(inst: Instance, fam: ResidualFamily) -> np.ndarray:
     quartic multiples of the ideal need no rows: they already pair to
     zero with T because the quartic vanishes on A.
     """
-    p = inst.ctx.p
-    # shifted[mu, i] is the coefficient of T at cubic monomial mu times
+    # entry [mu, i] is the coefficient of T at cubic monomial mu times
     # quintic monomial i, so row mu pairs T with mu times a quintic
-    shifted = inst.coeff_vector[product_table(2, 3, 5)]
-    return np.vstack([matmul_mod(shifted, pm.mat, p) for pm in fam.param_minors])
+    return fam.paired(inst.coeff_vector[product_table(2, 3, 5)])
 
 
 def _octic_columns(fam: ResidualFamily, avec: np.ndarray) -> np.ndarray:
     """45 x 40 array: the cubic multiples of the specialized minors."""
-    return np.hstack([mult_map(pm.specialize(avec), 8) for pm in fam.param_minors])
+    return np.hstack(_mult_maps(2, 5, 3, fam.specialized(avec)))
 
 
-def residual_octic_generators(fam: ResidualFamily, avec) -> np.ndarray:
+def residual_octic_generators(fam: ResidualFamily, avec: np.ndarray) -> np.ndarray:
     """Spanning vectors (as rows, 55 x 45) of the degree-8 ideal piece of
-    the family member at the given parameters: quartic times all
+    the family member at the residue vector avec: quartic times all
     quartics plus minors times all cubics."""
-    qs4 = mult_map(fam.base.Q, 8)  # 45 x 15
-    cols = _octic_columns(fam, np.asarray(avec))
-    return np.hstack([qs4, cols]).T
+    return np.hstack([_mult_maps(2, 4, 4, fam.base.q), _octic_columns(fam, avec)]).T
 
 
 def _instance_seed(inst: Instance, salt: int) -> int:
@@ -402,20 +403,12 @@ def second_decomposition_system(inst: Instance, fam: ResidualFamily,
             selected = tuple(pivots)
             break
         if selected is None:
-            raise SelectionFailed(
-                f"no specialization reached rank 44 in {SELECTION_RETRIES} attempts"
-            )
+            raise SelectionFailed(f"no specialization reached rank 44 in {SELECTION_RETRIES} attempts")
         sysmat = full_rows[list(selected)]
-    system = DenseMatrix(inst.ctx, sysmat)
-    srank = system.rank()
-    return Octic14Report(
-        mode=mode,
-        system_matrix=system,
-        system_rank=srank,
-        selected_columns=selected,
-        witness=(normalize_projective(system.kernel_basis()[0], p)
-                 if srank <= 11 else None),
-    )
+    rref, pivots = row_echelon(sysmat, p)
+    witness = (normalize_projective(_kernel_from_echelon(rref, pivots, p)[0], p)
+               if len(pivots) <= 11 else None)
+    return Octic14Report(inst.ctx, mode, sysmat, len(pivots), selected, witness)
 
 
 def verify_witness(inst: Instance, fam: ResidualFamily, astar) -> dict:
@@ -429,29 +422,24 @@ def verify_witness(inst: Instance, fam: ResidualFamily, astar) -> dict:
     first failed check.
     """
     p = inst.ctx.p
-    astar = np.asarray(astar, dtype=np.int64) % p
+    astar = as_residues(astar, p)
     if not np.any(astar):
         raise WitnessRejected("nonzero", "witness parameter vector is zero")
     record = {"a": [int(x) for x in astar]}
-    xQ = mult_map(fam.base.Q, 5).T  # 3 x 21
-    specs = [pm.specialize(astar).coeffs for pm in fam.param_minors]
-    deg5 = np.vstack([xQ, np.array(specs)])
-    record["residual_dim_5"] = rank_mod(deg5, p)
-    if record["residual_dim_5"] != 7:
-        raise WitnessRejected("residual_dim_5",
-                              f"degree-5 piece has dimension {record['residual_dim_5']} != 7")
+
+    def dimension(check: str, what: str, value: int, expected: int):
+        record[check] = value
+        if value != expected:
+            raise WitnessRejected(check, f"{what} has dimension {value} != {expected}")
+
+    deg5 = np.vstack([_mult_maps(2, 4, 1, fam.base.q).T, fam.specialized(astar)])
+    dimension("residual_dim_5", "degree-5 piece", rank_mod(deg5, p), 7)
     gens8 = residual_octic_generators(fam, astar)  # 55 x 45
-    record["residual_dim_8"] = rank_mod(gens8, p)
-    if record["residual_dim_8"] != 31:
-        raise WitnessRejected("residual_dim_8",
-                              f"degree-8 piece has dimension {record['residual_dim_8']} != 31")
+    dimension("residual_dim_8", "degree-8 piece", rank_mod(gens8, p), 31)
     # dim(I_A(8) + span gens8) = dim ker ev(A, 8) + rank of ev(A, 8) on gens8
     ev8 = evaluation_matrix(inst.pointset, 8)
-    record["ideal_sum_dim_8"] = (ev8.cols - hilbert_value(inst.pointset, 8)
-                                 + rank_mod(matmul_mod(ev8.a, gens8.T, p), p))
-    if record["ideal_sum_dim_8"] != 44:
-        raise WitnessRejected("ideal_sum_dim_8",
-                              f"ideal sum has dimension {record['ideal_sum_dim_8']} != 44")
+    dimension("ideal_sum_dim_8", "ideal sum", ev8.cols - hilbert_value(inst.pointset, 8)
+              + rank_mod(matmul_mod(ev8.a, gens8.T, p), p), 44)
     pairing = matmul_mod(inst.coeff_vector[None, :], gens8.T, p)[0]
     bad = np.nonzero(pairing)[0]
     record["orthogonal_generators"] = int(gens8.shape[0] - bad.size)
@@ -472,11 +460,8 @@ def certify_octic14(inst: Instance, mode: str = FULL) -> Certificate:
     try:
         evidence = list(check_preconditions(inst))
     except PreconditionFailed as e:
-        return Certificate(
-            DEGENERATE,
-            reason=str(e),
-            evidence=(("failed_test", e.test), ("computed", str(e.value))),
-        )
+        return Certificate(DEGENERATE, reason=str(e),
+                           evidence=(("failed_test", e.test), ("computed", str(e.value))))
     try:
         _, Cm, fam = point_stages(inst.pointset)
         evidence.append(("normalization_rank", Cm.rank()))
@@ -498,15 +483,7 @@ def certify_octic14(inst: Instance, mode: str = FULL) -> Certificate:
     try:
         checks = verify_witness(inst, fam, report.witness)
     except WitnessRejected as e:
-        return Certificate(
-            DEGENERATE,
-            reason=f"system rank {report.system_rank} but witness rejected: {e.check}",
-            evidence=tuple(evidence),
-        )
+        return Certificate(DEGENERATE, evidence=tuple(evidence), reason=f"system rank "
+                           f"{report.system_rank} but witness rejected: {e.check}")
     evidence += [(k, v) for k, v in checks.items() if k != "a"]
-    return Certificate(
-        NOT_IDENTIFIABLE,
-        rank=14,
-        witness=checks,
-        evidence=tuple(evidence),
-    )
+    return Certificate(NOT_IDENTIFIABLE, rank=14, witness=checks, evidence=tuple(evidence))

@@ -10,8 +10,10 @@ weights: dot(F.coeffs, veronese_vector(P, d)) == F(P) for every form F
 of degree d.  Everything downstream (evaluation matrices, ideal pieces,
 orthogonality of a form to an ideal) relies on exactly this contract.
 
-Maximal minors of arrays whose rows each have one degree are expanded on
-the Laplace tables of _laplace_level, shared with the sweep in points.
+Two array cores, called by the octic14 stages and by the wrappers here,
+take int64 coefficient stacks with any leading axes: _mult_maps (what
+mult_map wraps) and _minors, the one minor expansion (maximal_minors and
+det_poly wrap it), on the Laplace tables shared with the sweep in points.
 """
 
 from __future__ import annotations
@@ -232,11 +234,17 @@ def mult_map(f: GradedPoly, d: int) -> np.ndarray:
     """
     if d < f.degree:
         raise DegreeMismatch(f"target degree {d} below deg(f)={f.degree}")
-    table = product_table(f.n, f.degree, d - f.degree)
-    out = np.zeros((monomial_basis(f.n, d).size, table.shape[1]), dtype=np.int64)
+    return _mult_maps(f.n, f.degree, d - f.degree, f.coeffs)
+
+
+def _mult_maps(n: int, a: int, b: int, f: np.ndarray) -> np.ndarray:
+    """The mult_map matrices into degree a + b of a stack f (... x size a) of
+    degree-a forms: ... x size a+b x size b, one write through product_table."""
+    table = product_table(n, a, b)
+    out = np.zeros(f.shape[:-1] + (monomial_basis(n, a + b).size, table.shape[1]), dtype=np.int64)
     # within a column the rows of the table are distinct, so no entry is
     # written twice
-    out[table, np.arange(table.shape[1])] = f.coeffs[:, None]
+    out[..., table, np.arange(table.shape[1])] = f[..., :, None]
     return out
 
 
@@ -284,15 +292,29 @@ def _laplace_level(ell: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     return subs, below
 
 
+def _minors(n: int, degs, rows, p: int) -> np.ndarray:
+    """The maximal minors, ... x C(m, k) x size of degree sum(degs) in
+    combinations() order, of the k x m array of forms whose row i is the
+    stack rows[i] (... x m x size of degree degs[i]).  Level t expands the
+    minors of the bottom t rows along their top row on the _laplace_level
+    tables, one batched product per level, with no minor expanded twice."""
+    m = rows[0].shape[-2]
+    minors, b = np.ones((1, 1), dtype=np.int64), 0
+    for t, (row, a) in enumerate(zip(reversed(rows), reversed(degs)), 1):
+        subs, below = _laplace_level(m, t)
+        prod = _row_products(n, a, b, row[..., subs, :], minors[..., below, :], p)
+        minors = (prod[..., 0::2, :].sum(axis=-2) - prod[..., 1::2, :].sum(axis=-2)) % p
+        b += a
+    return minors
+
+
 def maximal_minors(entries: list[list[GradedPoly]]) -> dict[tuple[int, ...], GradedPoly]:
     """The k x k minors of a k x m array of forms (k <= m), keyed by their
     column subset in combinations() order.
 
     Each row's entries must share one degree (else InhomogeneousDeterminant),
-    as the conic and linear rows of a Hilbert-Burch matrix do.  Level t
-    expands the minors of the bottom t rows along their top row on the
-    _laplace_level tables, one batched product per level, with no minor
-    expanded twice; each minor's degree is the sum of the row degrees.
+    as the conic and linear rows of a Hilbert-Burch matrix do; the minors
+    come from _minors, and each one's degree is the sum of the row degrees.
     """
     k, m = len(entries), (len(entries[0]) if entries else 0)
     if not 0 < k <= m or any(len(row) != m for row in entries):
@@ -305,14 +327,9 @@ def maximal_minors(entries: list[list[GradedPoly]]) -> dict[tuple[int, ...], Gra
     degs = [[e.degree for e in row] for row in entries]
     if any(len(set(row)) > 1 for row in degs):
         raise InhomogeneousDeterminant(f"entry degrees {degs} vary within a row")
-    minors, b = np.ones((1, 1), dtype=np.int64), 0
-    for t, row in enumerate(reversed(entries), 1):
-        subs, below = _laplace_level(m, t)
-        f = np.stack([e.coeffs for e in row])
-        prod = _row_products(n, row[0].degree, b, f[subs], minors[below], ctx.p)
-        minors = (prod[:, 0::2].sum(axis=1) - prod[:, 1::2].sum(axis=1)) % ctx.p
-        b += row[0].degree
-    return {cols: GradedPoly(ctx, monomial_basis(n, b), v)
+    degs = [row[0] for row in degs]
+    minors = _minors(n, degs, [np.stack([e.coeffs for e in row]) for row in entries], ctx.p)
+    return {cols: GradedPoly(ctx, monomial_basis(n, sum(degs)), v)
             for cols, v in zip(combinations(range(m), k), minors)}
 
 

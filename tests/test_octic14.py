@@ -288,9 +288,9 @@ def test_normalization_degenerate_repeated_rows(hb):
     # halves of the normalization system
     from waringcert.octic14 import HilbertBurch
 
-    M = list(hb.M)
-    M[3] = M[1]
-    fake = HilbertBurch(hb.Q, hb.quintics, tuple(M))
+    syz = hb.syz.copy()
+    syz[:, 12:15] = syz[:, 6:9]  # M[3] = M[1]
+    fake = HilbertBurch(hb.ctx, hb.q, hb.g, syz)
     _, crank = normalization_check(fake)
     assert crank < 12
 
@@ -334,11 +334,10 @@ def test_zero_linear_row_is_a_degenerate_minor(hb):
     # det(M[1:]) with them, which quartic_scale refuses
     from waringcert.octic14 import HilbertBurch
 
-    zero = GradedPoly.zero(hb.Q.ctx, 2, 1)
-    M = list(hb.M)
-    M[2] = (zero,) * 4
+    syz = hb.syz.copy()
+    syz[:, 9:12] = 0  # M[2] = (0, 0, 0, 0)
     with pytest.raises(MinorDegenerate):
-        residual_family(HilbertBurch(hb.Q, hb.quintics, tuple(M)))
+        residual_family(HilbertBurch(hb.ctx, hb.q, hb.g, syz))
 
 
 def test_family_quartic_minor_shares_q(fam):
@@ -406,6 +405,19 @@ def test_verify_witness_accepts_t2(t2, fam):
 def test_verify_witness_rejects_zero(t2, fam):
     with pytest.raises(WitnessRejected):
         verify_witness(t2, fam, np.zeros(12, dtype=np.int64))
+
+
+def test_verify_witness_reads_residues_exactly(t2, fam):
+    # floats and bools are refused, not truncated or read as 0 and 1, and
+    # ints past int64 are reduced mod p
+    p = t2.ctx.p
+    report = second_decomposition_system(t2, fam, mode=FULL)
+    with pytest.raises(TypeError):
+        verify_witness(t2, fam, report.witness + 0.9)
+    with pytest.raises(TypeError):
+        verify_witness(t2, fam, [bool(x % 2) for x in report.witness])
+    big = [int(x) + p * 2**70 for x in report.witness]
+    assert verify_witness(t2, fam, big) == verify_witness(t2, fam, report.witness)
 
 
 def test_verify_witness_rejects_random(t2, fam):
@@ -602,7 +614,8 @@ def test_octic14_shortcuts_match_direct_constructions(octic_instances):
             greedy_quintics(inst.pointset, hb.Q), what
         fam = residual_family(hb)
         direct = det_poly([list(r) for r in zip(*hb.M[1:])])
-        assert hb.quartic_scale == _proportionality(direct, hb.Q, "not proportional"), what
+        assert hb.quartic_scale == _proportionality(direct.coeffs, hb.q, p,
+                                                    "not proportional"), what
         b3, b5 = monomial_basis(2, 3), monomial_basis(2, 5)
         t = {e: int(c) for e, c in zip(monomial_basis(2, 8).exponents, inst.coeff_vector)}
         rows = [[sum(t[tuple(x + y for x, y in zip(e, f))] * int(pm.mat[i, a])
@@ -639,7 +652,8 @@ def test_quartic_scale_matches_the_full_determinant(hb_point_sets):
     for what, A in hb_point_sets:
         hb = hilbert_burch(A)
         direct = det_poly([list(row) for row in hb.M[1:]])
-        assert hb.quartic_scale == _proportionality(direct, hb.Q, "not proportional"), what
+        assert hb.quartic_scale == _proportionality(direct.coeffs, hb.q, A.ctx.p,
+                                                    "not proportional"), what
 
 
 def plain_selection(A, Q, d):
@@ -655,7 +669,7 @@ def plain_selection(A, Q, d):
 @pytest.mark.parametrize("d", (5, 6, 7))
 def test_selection_in_free_coordinates_matches_the_stacked_echelon(hb_point_sets, d):
     for what, A in hb_point_sets:
-        Q = hilbert_burch(A).Q
-        got = [v.tolist() for v in octic14.ideal_past_quartic(A, Q, d)]
-        assert got == plain_selection(A, Q, d), (what, d)
+        hb = hilbert_burch(A)
+        got = [v.tolist() for v in octic14.ideal_past_quartic(A, hb.q, d)]
+        assert got == plain_selection(A, hb.Q, d), (what, d)
         assert len(got) == comb(d + 2, 2) - 14 - comb(d - 2, 2)  # I_A(d) past Q * S_{d-4}
